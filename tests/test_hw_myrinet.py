@@ -16,6 +16,7 @@ from repro.hw.myrinet import (
     crc8,
     topology,
 )
+from repro.hw.myrinet.crc import _SMALL, _crc8_loop
 
 
 def make_packet(route=(), payload=b"hello", kind="test", **fields):
@@ -42,6 +43,29 @@ def test_crc8_detects_single_bitflip():
 def test_crc8_numpy_and_bytes_agree():
     payload = np.arange(256, dtype=np.uint8)
     assert crc8(payload) == crc8(payload.tobytes())
+
+
+_CRC_INPUTS = {
+    "bytes": lambda arr: arr.tobytes(),
+    "bytearray": lambda arr: bytearray(arr.tobytes()),
+    "ndarray": lambda arr: arr,
+    "strided": lambda arr: np.repeat(arr, 2)[::2],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CRC_INPUTS))
+@pytest.mark.parametrize("size", [
+    0, 1, _SMALL - 1, _SMALL, _SMALL + 1, 126, 127, 128, 253, 254, 255,
+    4095, 4096, 4097, 4156, 65536, 70001])
+def test_crc8_matches_byte_loop_reference(size, kind):
+    """Both size paths of crc8 equal the byte loop, for every initial
+    value, input type and fold remainder (sizes around multiples of the
+    127-byte period, the 4 KiB link packet, a 64 KiB message)."""
+    arr = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8)
+    data = _CRC_INPUTS[kind](arr.copy())
+    for initial in (0, 1, 0x5A, 0xFF):
+        assert crc8(data, initial) == _crc8_loop(arr, initial)
+    assert bytes(data) == arr.tobytes()  # the input is left untouched
 
 
 # ------------------------------------------------------------------- packets

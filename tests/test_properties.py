@@ -19,10 +19,12 @@ def test_crc8_in_byte_range(data):
     assert 0 <= crc8(data) <= 255
 
 
-@given(st.binary(min_size=1, max_size=256),
-       st.integers(min_value=0, max_value=255 * 8 - 1))
+@given(st.one_of(st.binary(min_size=1, max_size=256),
+                 st.binary(min_size=4000, max_size=9000)),
+       st.integers(min_value=0, max_value=9000 * 8 - 1))
 def test_crc8_detects_any_single_bitflip(data, bit):
-    """CRC-8 detects every single-bit error (Hamming distance ≥ 2)."""
+    """CRC-8 detects every single-bit error (Hamming distance ≥ 2), also
+    on buffers the size of the 4 KiB packets ``Link`` corrupts."""
     flipped = bytearray(data)
     idx = (bit // 8) % len(flipped)
     flipped[idx] ^= 1 << (bit % 8)
