@@ -4,22 +4,29 @@ Time is an integer number of **nanoseconds**.  All hardware cost models in
 :mod:`repro.hw` produce integer nanosecond durations, so simulations are
 exactly reproducible and there is no floating-point event-ordering jitter.
 
-Events at the same timestamp are processed in FIFO scheduling order (a
-monotonically increasing sequence number breaks ties), which matches the
-intuition that a cause scheduled earlier fires earlier.
+Every event sits in one heap as a ``(time, priority, seq, event)`` tuple,
+so events at the same timestamp and priority are processed in FIFO
+scheduling order (a monotonically increasing sequence number breaks
+ties), which matches the intuition that a cause scheduled earlier fires
+earlier.  Interrupts use :attr:`Environment.PRIORITY_URGENT` and beat
+same-time normal events.
 
-Two engines share this event model (see DESIGN.md, "Two engines, one
-contract"):
+Per-event cost is kept low without changing any event: ``run()``
+inlines ``step()``, and ``succeed()`` and the hot constructors push their
+heap entries directly.  ``tests/golden_fingerprints.json`` pins the
+behaviour.
+
+Two engines share this event model and this drain loop (see DESIGN.md,
+"Two engines, one contract"):
 
 * the **scalar** engine — this module's :class:`Environment`, one heap
-  pop and one callback dispatch per event.  It is the *correctness
-  oracle*: deliberately simple, every event individually materialised.
+  pop and one callback dispatch per event, every event individually
+  materialised.  It is the *correctness oracle*.
 * the **vector** engine — :class:`repro.sim.fastcore.VectorEnvironment`,
-  a drop-in subclass that keeps the identical ``(time, priority, seq)``
-  total order but drains the queue in an inlined loop and processes
-  homogeneous deadline populations (:meth:`Environment.timeout_batch`)
-  as numpy array rings, one pop per *distinct timestamp* instead of one
-  per member.
+  a drop-in subclass that differs only in processing homogeneous
+  deadline populations (:meth:`Environment.timeout_batch`) as numpy
+  array rings, one pop per *distinct timestamp* instead of one per
+  member.
 
 ``Environment(engine="vector")`` — or ``REPRO_SIM_ENGINE=vector`` in the
 environment — selects the engine at construction; everything downstream
@@ -30,9 +37,9 @@ two engines to bit-identical traces, metrics and artifacts.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import os
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
 #: Environment variable consulted when no explicit ``engine=`` is given.
@@ -142,11 +149,15 @@ class Event:
     # -- triggering --------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.env._schedule(self)
+        # _schedule inlined: an event not yet triggered is not yet queued.
+        self._scheduled = True
+        env = self.env
+        heappush(env._queue, (env._now, Environment.PRIORITY_NORMAL,
+                              next(env._seq), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -159,7 +170,7 @@ class Event:
         """
         if not isinstance(exception, BaseException):
             raise SimulationError("fail() requires an exception instance")
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
@@ -208,11 +219,16 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: int, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
-        super().__init__(env)
-        self.delay = int(delay)
-        self._ok = True
+        # The hottest constructor: no Event.__init__ or _schedule call.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env._schedule(self, delay=self.delay)
+        self._ok = True
+        self._scheduled = True
+        self._defused = False
+        self.delay = delay = int(delay)
+        heappush(env._queue, (env._now + delay, Environment.PRIORITY_NORMAL,
+                              next(env._seq), self))
 
 
 class BatchTimeout(Event):
@@ -280,11 +296,14 @@ class Initialize(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process"):
-        super().__init__(env)
-        self.callbacks.append(process._resume)
-        self._ok = True
+        self.env = env
+        self.callbacks = [process._resume]
         self._value = None
-        env._schedule(self)
+        self._ok = True
+        self._scheduled = True
+        self._defused = False
+        heappush(env._queue, (env._now, Environment.PRIORITY_NORMAL,
+                              next(env._seq), self))
 
 
 class Process(Event):
@@ -303,7 +322,12 @@ class Process(Event):
         if not hasattr(generator, "throw"):
             raise SimulationError(
                 f"process requires a generator, got {generator!r}")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._scheduled = False
+        self._defused = False
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
@@ -312,11 +336,11 @@ class Process(Event):
     @property
     def is_alive(self) -> bool:
         """True while the underlying generator has not finished."""
-        return not self.triggered
+        return self._value is _PENDING
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"cannot interrupt finished {self!r}")
         interruption = Event(self.env)
         interruption._ok = False
@@ -346,11 +370,8 @@ class Process(Event):
                     self._finish_ok(exc.value)
                     break
                 except BaseException as exc:
-                    if exc is event._value:
-                        # The generator did not handle it; propagate as our
-                        # own failure rather than crashing the engine.
-                        self._finish_fail(exc)
-                        break
+                    # Unhandled (or replaced): it becomes our own failure
+                    # rather than crashing the engine.
                     self._finish_fail(exc)
                     break
             if not isinstance(target, Event):
@@ -363,8 +384,8 @@ class Process(Event):
                 except BaseException as raised:
                     self._finish_fail(raised)
                 break
-            if target.processed:
-                # Already fired: loop immediately with its value.
+            if target.callbacks is None:
+                # Already processed: loop immediately with its value.
                 event = target
                 continue
             target.callbacks.append(self._resume)
@@ -374,12 +395,12 @@ class Process(Event):
 
     def _finish_ok(self, value: Any) -> None:
         self._target = None
-        if not self.triggered:
+        if self._value is _PENDING:
             self.succeed(value)
 
     def _finish_fail(self, exc: BaseException) -> None:
         self._target = None
-        if not self.triggered:
+        if self._value is _PENDING:
             self._ok = False
             self._value = exc
             self.env._schedule(self)
@@ -527,10 +548,17 @@ class Environment:
     # -- scheduling / execution ---------------------------------------------
     def _schedule(self, event: Event, delay: int = 0,
                   priority: int = PRIORITY_NORMAL) -> None:
+        """Push ``event`` at ``now + delay`` with the next sequence number.
+
+        Not an override point: :meth:`Event.succeed`, :class:`Timeout` and
+        :class:`Initialize` (a process start) push their heap entries
+        directly, and the batch rings of the vector engine reserve
+        sequence blocks themselves.
+        """
         if event._scheduled:
             raise SimulationError(f"{event!r} scheduled twice")
         event._scheduled = True
-        heapq.heappush(
+        heappush(
             self._queue, (self._now + delay, priority, next(self._seq), event))
 
     def peek(self) -> Optional[int]:
@@ -538,10 +566,10 @@ class Environment:
         return self._queue[0][0] if self._queue else None
 
     def step(self) -> None:
-        """Process the single next event."""
+        """Process the single next event (:meth:`run` inlines this body)."""
         if not self._queue:
             raise SimulationError("step() on empty event queue")
-        when, _prio, _seq, event = heapq.heappop(self._queue)
+        when, _prio, _seq, event = heappop(self._queue)
         self._now = when
         self.events_processed += 1
         callbacks = event.callbacks
@@ -556,16 +584,25 @@ class Environment:
         """Run until the queue drains, a deadline passes, or an event fires.
 
         ``until`` may be ``None`` (drain the queue), an integer time in
-        nanoseconds, or an :class:`Event` — in which case its value is
-        returned (or its exception raised).
+        nanoseconds no earlier than :attr:`now`, or an :class:`Event` —
+        in which case its value is returned (or its exception raised).
+        Both loops inline :meth:`step`, bumping ``events_processed`` per
+        pop as it does.
         """
+        queue = self._queue
         if isinstance(until, Event):
             stop = until
-            while self._queue:
-                if stop.processed:
-                    break
-                self.step()
-            if not stop.triggered:
+            while queue and stop.callbacks is not None:
+                when, _prio, _seq, event = heappop(queue)
+                self._now = when
+                self.events_processed += 1
+                callbacks = event.callbacks
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused and not callbacks:
+                    raise event._value
+            if stop._value is _PENDING:
                 raise SimulationError(
                     f"run(until={stop!r}): queue drained before it fired "
                     f"(deadlock at t={self._now} ns?)")
@@ -574,11 +611,21 @@ class Environment:
             stop._defused = True
             raise stop._value
         deadline = None if until is None else int(until)
-        while self._queue:
-            if deadline is not None and self._queue[0][0] > deadline:
-                self._now = deadline
-                return None
-            self.step()
+        if deadline is not None and deadline < self._now:
+            raise SimulationError(
+                f"run(until={deadline}) is in the past (now={self._now} ns)")
+        while queue:
+            if deadline is not None and queue[0][0] > deadline:
+                break
+            when, _prio, _seq, event = heappop(queue)
+            self._now = when
+            self.events_processed += 1
+            callbacks = event.callbacks
+            event.callbacks = None
+            for callback in callbacks:
+                callback(event)
+            if not event._ok and not event._defused and not callbacks:
+                raise event._value
         if deadline is not None:
             self._now = deadline
         return None

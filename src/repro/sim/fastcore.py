@@ -1,16 +1,10 @@
-"""The vector engine: a drop-in fast path for :class:`~repro.sim.core.Environment`.
+"""The vector engine: :class:`~repro.sim.core.Environment` plus batch rings.
 
 ``VectorEnvironment`` keeps the scalar engine's event model byte for byte
 — same heap, same ``(time, priority, seq)`` total order, same callback
-semantics — and buys its speed from two mechanical changes:
+semantics, same drain loop (:meth:`Environment.run`, inherited) — and
+differs in one mechanism only:
 
-* **an inlined drain loop** — :meth:`VectorEnvironment.run` fuses
-  ``while queue: step()`` into one frame, eliminating a Python method
-  call, an attribute reload and a bounds re-check per event.  This is
-  where the dominant Timeout→resume→Timeout chains of the LANai, DMA and
-  link pipelines spend their time; the chain itself cannot be elided
-  (user generator code runs between the timeouts) but its per-event
-  engine tax can.
 * **array-backed deadline rings** — :meth:`Environment.timeout_batch`
   populations stay in numpy.  Where the scalar oracle materialises one
   heap entry per member, the vector engine reserves the member sequence
@@ -27,8 +21,8 @@ DESIGN.md: in a Python DES the win is fewer bytecodes per event, not a
 better asymptotic queue — hence batching (fewer pops) and inlining
 (cheaper pops), with the heap kept as the ordering ground truth.  That
 choice is also what makes bit-identity with the oracle a structural
-property rather than a testing aspiration: both engines push through the
-same ``_schedule`` and pop the same tuples.
+property rather than a testing aspiration: both engines push the same
+``(time, priority, seq, event)`` tuples and pop them in one loop.
 
 Selection is ``Environment(engine="vector")`` or
 ``REPRO_SIM_ENGINE=vector``; see :func:`repro.sim.core.resolve_engine`.
@@ -43,8 +37,7 @@ import heapq
 import itertools
 from typing import Any, Callable, Optional
 
-from repro.sim.core import (_PENDING, BatchTimeout, Environment, Event,
-                            SimulationError, _batch_groups)
+from repro.sim.core import BatchTimeout, Environment, Event, _batch_groups
 
 __all__ = ["VectorEnvironment"]
 
@@ -63,10 +56,11 @@ class _BatchGroup(Event):
 class VectorEnvironment(Environment):
     """Vectorized engine; see the module docstring for the design.
 
-    Everything not overridden here — scheduling, ``step()``, ``peek()``,
-    event factories, process semantics — is inherited verbatim from the
-    scalar engine, which is the point: the engines differ only in how
-    fast they drain the queue, never in what order.
+    Everything not overridden here — scheduling, ``run()``, ``step()``,
+    ``peek()``, event factories, process semantics — is inherited
+    verbatim from the scalar engine, which is the point: the engines
+    differ only in how batch deadlines sit in the queue, never in what
+    order they fire.
     """
 
     engine = "vector"
@@ -103,53 +97,3 @@ class VectorEnvironment(Environment):
         # foreign event interleaves a partially-counted group).
         self.events_processed += len(indices) - 1
         batch._group_fired(when, indices, on_fire)
-
-    # -- inlined drain loop -------------------------------------------------
-    def run(self, until: Optional[Any] = None) -> Any:
-        """Scalar :meth:`Environment.run` semantics, one frame, no calls.
-
-        The body of :meth:`Environment.step` is fused into each loop so
-        the per-event cost is a heappop, a callback dispatch and the
-        unobserved-failure check — nothing else.  ``events_processed``
-        is bumped per pop (not batched locally) so callbacks observe the
-        same counts they would under the oracle.
-        """
-        queue = self._queue
-        pop = heapq.heappop
-        if isinstance(until, Event):
-            stop = until
-            while queue and stop.callbacks is not None:
-                when, _prio, _seq, event = pop(queue)
-                self._now = when
-                self.events_processed += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused and not callbacks:
-                    raise event._value
-            if stop._value is _PENDING:
-                raise SimulationError(
-                    f"run(until={stop!r}): queue drained before it fired "
-                    f"(deadlock at t={self._now} ns?)")
-            if stop._ok:
-                return stop._value
-            stop._defused = True
-            raise stop._value
-        deadline = None if until is None else int(until)
-        while queue:
-            if deadline is not None and queue[0][0] > deadline:
-                self._now = deadline
-                return None
-            when, _prio, _seq, event = pop(queue)
-            self._now = when
-            self.events_processed += 1
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused and not callbacks:
-                raise event._value
-        if deadline is not None:
-            self._now = deadline
-        return None

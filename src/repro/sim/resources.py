@@ -33,8 +33,13 @@ class Request(Event):
         self.resource = resource
         self.priority = priority
         self._order = next(resource._ticket)
-        resource._queue.append(self)
-        resource._queue.sort(key=lambda r: (r.priority, r._order))
+        # The wait queue is kept sorted by (priority, order); a request no
+        # more urgent than the tail (the common, all-equal case) appends.
+        queue = resource._queue
+        sort = queue and queue[-1].priority > priority
+        queue.append(self)
+        if sort:
+            queue.sort(key=lambda r: (r.priority, r._order))
         resource._grant()
 
     def __enter__(self) -> "Request":

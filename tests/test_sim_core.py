@@ -588,3 +588,126 @@ def test_events_processed_counts_batch_members_identically():
         return env.events_processed, env.now
 
     assert run("scalar") == run("vector")
+
+
+# -- kernel contract: what the drain loop and direct pushes must keep -------
+def test_same_time_order_timeout_start_succeed_interrupt():
+    # Four same-time events made in this order by one process: a
+    # timeout(0), a process start, a succeed() and an interrupt.  They
+    # fire in seq (creation) order, except the interrupt, whose URGENT
+    # priority puts it ahead of all three.
+    env = Environment()
+    log = []
+
+    def sleeper():
+        try:
+            yield env.timeout(100)
+        except Interrupt:
+            log.append(("interrupt", env.now))
+
+    def started():
+        log.append(("start", env.now))
+        yield from ()
+
+    def driver(target):
+        yield env.timeout(10)
+        env.timeout(0).callbacks.append(
+            lambda _ev: log.append(("timeout", env.now)))
+        env.process(started())
+        ev = env.event()
+        ev.callbacks.append(lambda _ev: log.append(("succeed", env.now)))
+        ev.succeed()
+        target.interrupt()
+
+    env.process(driver(env.process(sleeper())))
+    env.run()
+    assert log == [("interrupt", 10), ("timeout", 10), ("start", 10),
+                   ("succeed", 10)]
+    # The abandoned timeout still pops at 100; every event counted once.
+    assert (env.now, env.events_processed) == (100, 11)
+
+
+def test_resource_grants_by_priority_then_fifo():
+    # Priorities [1, 0, 1, 0] behind a holder: the second and fourth
+    # requests jump the queue (the sort path), the third lands behind an
+    # equal-priority tail (the append path).
+    from repro.sim import Resource
+
+    env = Environment()
+    res = Resource(env)
+    granted = []
+
+    def user(tag, priority):
+        with res.request(priority=priority) as req:
+            yield req
+            granted.append(tag)
+            yield env.timeout(1)
+
+    def holder():
+        with res.request() as req:
+            yield req
+            for tag, priority in zip("abcd", [1, 0, 1, 0]):
+                env.process(user(tag, priority))
+            yield env.timeout(5)
+
+    env.process(holder())
+    env.run()
+    assert granted == ["b", "d", "a", "c"]
+
+
+def _contract_workload(env):
+    from repro.sim import Resource, Store
+
+    res, store = Resource(env), Store(env)
+
+    def producer(i):
+        with res.request(priority=i % 2) as req:
+            yield req
+            yield env.timeout(3 + i)
+        yield store.put(i)
+
+    def consumer():
+        for _ in range(6):
+            yield store.get()
+            yield env.timeout(0)
+
+    for i in range(6):
+        env.process(producer(i))
+    env.process(consumer())
+
+
+def test_step_loop_and_run_agree():
+    stepped, ran = Environment(), Environment()
+    _contract_workload(stepped)
+    _contract_workload(ran)
+    while stepped.peek() is not None:
+        stepped.step()
+    ran.run()
+    assert stepped.events_processed == ran.events_processed > 0
+    assert stepped.now == ran.now > 0
+
+
+def test_unobserved_failure_escalates_from_both_run_loops():
+    env = Environment()
+    env.event().fail(RuntimeError("boom"))
+    with pytest.raises(RuntimeError, match="boom"):
+        env.run(until=10)
+
+    env = Environment()
+    stop = env.timeout(5)
+    env.event().fail(RuntimeError("bang"))
+    with pytest.raises(RuntimeError, match="bang"):
+        env.run(until=stop)
+
+
+def test_run_until_past_time_rejected():
+    env = Environment()
+    env.run(until=1000)
+    env.timeout(50)
+    with pytest.raises(SimulationError, match="past"):
+        env.run(until=10)
+    assert env.now == 1000
+    env.run(until=1000)  # until == now: a no-op
+    assert (env.now, env.events_processed) == (1000, 0)
+    env.run()
+    assert env.now == 1050
