@@ -1,55 +1,32 @@
-"""Engine-differential workload runners: scalar oracle vs vector engine.
+"""Golden-fingerprint workload runners.
 
-Each runner here replays one of the repo's standing workloads under a
-chosen simulation engine and reduces the run to a JSON-serializable
-report — simulated times, counters, metrics, trace fingerprints — with
-**no wall-clock content**, so two runs are comparable byte for byte.
-:func:`diff_engines` runs a workload set on both engines and reports,
-per workload, whether the reports are identical and (if not) the first
-divergent paths.
-
-This is the machinery behind ``tests/test_sim_differential.py`` and the
-``python -m repro engine-diff`` CLI/CI step.  The workload set matches
-the issue's acceptance list:
+Each runner here replays one of the repo's standing workloads and
+reduces the run to a JSON-serializable report — simulated times,
+counters, metrics, trace fingerprints — with **no wall-clock content**,
+so two runs are comparable byte for byte.  :func:`run_workload` returns
+that report with its sha256 fingerprint; ``tests/golden_fingerprints.json``
+commits one fingerprint per workload and ``tests/test_golden_fingerprints.py``
+asserts them, so any change to event order, simulated time or a
+modelled counter shows up as a changed digest.  The workloads:
 
 * ``chaos``       — seeded error-burst run of the reliable sender;
 * ``fig3``        — paper Figure 3 bandwidth points (one-way + bidir);
 * ``dsm-smoke``   — DSM coherence workload, error-burst scenario;
 * ``fabric-smoke``— multi-switch fabric pair traffic on a fat-tree;
+* ``kv-smoke``    — sharded KV tier under error bursts (reliable
+  retransmit deadlines end to end);
 * ``contract``    — the observability contract workload, fingerprinting
   the full event trace and the metrics snapshot.
-
-Engine selection happens via ``$REPRO_SIM_ENGINE`` (every runner builds
-its environments through the normal constructors), so a runner exercises
-exactly the code path a user selecting that engine would hit.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
-from repro.sim.core import ENGINE_ENV_VAR, resolve_engine
-from repro.sim.fingerprint import (diff_values, trace_fingerprint,
-                                   trace_payload, value_fingerprint)
+from repro.sim.fingerprint import (trace_fingerprint, trace_payload,
+                                   value_fingerprint)
 
-__all__ = ["WORKLOADS", "engine_env", "run_workload", "diff_engines"]
-
-
-@contextmanager
-def engine_env(engine: str) -> Iterator[None]:
-    """Run a block with ``$REPRO_SIM_ENGINE`` forced to ``engine``."""
-    resolve_engine(engine)  # fail fast on typos
-    saved = os.environ.get(ENGINE_ENV_VAR)
-    os.environ[ENGINE_ENV_VAR] = engine
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop(ENGINE_ENV_VAR, None)
-        else:
-            os.environ[ENGINE_ENV_VAR] = saved
+__all__ = ["WORKLOADS", "run_workload"]
 
 
 def _chaos_workload() -> dict[str, Any]:
@@ -95,8 +72,7 @@ def _fabric_workload() -> dict[str, Any]:
 
 def _kv_workload() -> dict[str, Any]:
     # Chaos scenario on purpose: error bursts drive the reliable
-    # sender's batched retransmit deadlines (Environment.timeout_batch),
-    # so this workload is the engine-identity proof for that path.
+    # sender's retransmit deadlines.
     from repro.kv.bench import run_kv_trial
 
     return run_kv_trial(0, shards=2, requests=120, nkeys=64, skew=1.1,
@@ -113,8 +89,8 @@ def _contract_workload() -> dict[str, Any]:
         "trace_dropped": tracer.dropped,
         "metrics_fingerprint": value_fingerprint(metrics.snapshot()),
         "metrics": metrics.snapshot(),
-        # Full trace retained so a divergence names the first differing
-        # record, not just two hashes.
+        # Full trace retained so a changed digest can be traced to the
+        # first differing record, not just two hashes.
         "trace": trace_payload(tracer),
     }
 
@@ -130,44 +106,12 @@ WORKLOADS: dict[str, Callable[[], dict[str, Any]]] = {
 }
 
 
-def run_workload(name: str, engine: str) -> dict[str, Any]:
-    """Run workload ``name`` under ``engine``; returns its report plus
-    the engine-side bookkeeping the differ uses."""
+def run_workload(name: str) -> dict[str, Any]:
+    """Run workload ``name``; returns its report and the report's
+    fingerprint."""
     from repro.hostos.process import fresh_pid_namespace
 
-    runner = WORKLOADS[name]
-    with engine_env(engine), fresh_pid_namespace():
-        report = runner()
-    return {"workload": name, "engine": engine,
-            "fingerprint": value_fingerprint(report), "report": report}
-
-
-def diff_engines(names: list[str] | None = None,
-                 engines: tuple[str, str] = ("scalar", "vector"),
-                 ) -> dict[str, Any]:
-    """Run each workload on both engines and compare the reports.
-
-    Returns ``{"identical": bool, "workloads": {name: {...}}}`` where a
-    non-identical workload entry carries the first divergent paths from
-    :func:`repro.sim.fingerprint.diff_values` — the artifact CI uploads
-    on failure.
-    """
-    result: dict[str, Any] = {"engines": list(engines), "workloads": {}}
-    identical = True
-    for name in names or sorted(WORKLOADS):
-        left = run_workload(name, engines[0])
-        right = run_workload(name, engines[1])
-        same = left["fingerprint"] == right["fingerprint"]
-        entry: dict[str, Any] = {
-            "identical": same,
-            "fingerprints": {engines[0]: left["fingerprint"],
-                             engines[1]: right["fingerprint"]},
-        }
-        if not same:
-            identical = False
-            entry["divergences"] = [
-                {"path": path, engines[0]: a, engines[1]: b}
-                for path, a, b in diff_values(left["report"], right["report"])]
-        result["workloads"][name] = entry
-    result["identical"] = identical
-    return result
+    with fresh_pid_namespace():
+        report = WORKLOADS[name]()
+    return {"workload": name, "fingerprint": value_fingerprint(report),
+            "report": report}

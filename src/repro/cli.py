@@ -31,10 +31,6 @@ campaign     experiment campaigns — ``list|run|resume|report|diff``:
              ``BENCH_<AREA>.json`` artifacts at the repo root, with
              ``diff`` as the CI regression gate against the committed
              baselines (handbook: docs/BENCHMARKS.md)
-engine-diff  differential gate — run workloads on both simulation
-             engines (scalar oracle vs vector fast path) and fail on
-             any trace/metric/report divergence (``--report`` writes
-             the fingerprint diff, the CI artifact)
 metrics      observability — metrics snapshot of the instrumented
              contract workload (``--json`` for machine consumption)
 trace        observability — Perfetto / Chrome trace-event export of the
@@ -57,7 +53,6 @@ from repro.bench.microbench import (
 )
 from repro.bench.report import Series, format_series, format_table
 from repro.cluster import Cluster, TestbedConfig
-from repro.sim.core import ENGINE_ENV_VAR, ENGINES
 
 
 def _sizes(text: str) -> list[int]:
@@ -794,51 +789,6 @@ def cmd_topology(args) -> int:
     return 0
 
 
-def cmd_engine_diff(args) -> int:
-    """``engine-diff``: the scalar-vs-vector differential gate.
-
-    Replays each named workload on both engines and compares the full
-    JSON-serializable reports (simulated times, counters, metrics,
-    trace fingerprints).  Any divergence exits 1 and names the first
-    differing paths; ``--report FILE`` writes the machine-readable diff
-    (what CI uploads on failure)."""
-    import json
-
-    from repro.bench.differential import WORKLOADS, diff_engines
-
-    names = args.workload or sorted(WORKLOADS)
-    unknown = [n for n in names if n not in WORKLOADS]
-    if unknown:
-        print(f"ERROR: unknown workload(s) {', '.join(unknown)}; "
-              f"available: {', '.join(sorted(WORKLOADS))}")
-        return 1
-    result = diff_engines(names)
-    rows = []
-    for name in names:
-        entry = result["workloads"][name]
-        rows.append([name,
-                     entry["fingerprints"]["scalar"][:16],
-                     entry["fingerprints"]["vector"][:16],
-                     "identical" if entry["identical"] else "DIVERGED"])
-    print(format_table(
-        "engine differential: scalar oracle vs vector fast path "
-        "(sha256 of the canonical run report)",
-        ["workload", "scalar", "vector", "status"], rows))
-    for name in names:
-        entry = result["workloads"][name]
-        for div in entry.get("divergences", []):
-            print(f"DIVERGENCE {name} at {div['path']}: "
-                  f"scalar={div['scalar']!r} vector={div['vector']!r}")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True, default=repr)
-            fh.write("\n")
-        print(f"report written to {args.report}")
-    print("engine differential gate: "
-          + ("PASS" if result["identical"] else "FAIL"))
-    return 0 if result["identical"] else 1
-
-
 def cmd_metrics(args) -> int:
     import json
 
@@ -890,11 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="VMMC-on-Myrinet reproduction: run the paper's "
                     "measurements from the command line.")
-    parser.add_argument(
-        "--engine", choices=list(ENGINES), default=None,
-        help="simulation engine for every environment the command "
-             "builds: 'scalar' (the oracle) or 'vector' (the fast "
-             "path); default: $REPRO_SIM_ENGINE, else scalar")
     sub = parser.add_subparsers(dest="command", required=True)
 
     lat = sub.add_parser("latency", help="Figure 2 latency sweep")
@@ -1118,18 +1063,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="print each spec's description line")
     topo.set_defaults(func=cmd_topology)
 
-    ediff = sub.add_parser(
-        "engine-diff",
-        help="differential gate: scalar vs vector engine on the "
-             "standing workloads (exits 1 on any divergence)")
-    ediff.add_argument("workload", nargs="*",
-                       help="workload names (default: all); see "
-                            "repro.bench.differential.WORKLOADS")
-    ediff.add_argument("--report", metavar="FILE",
-                       help="write the JSON fingerprint diff (CI "
-                            "artifact on failure)")
-    ediff.set_defaults(func=cmd_engine_diff)
-
     met = sub.add_parser(
         "metrics", help="metrics snapshot of the instrumented workload")
     met.add_argument("--json", action="store_true",
@@ -1150,13 +1083,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.engine:
-        # One switch for every Environment the command constructs —
-        # commands build clusters/pairs through the normal constructors,
-        # which consult $REPRO_SIM_ENGINE (see repro.sim.core).
-        import os
-
-        os.environ[ENGINE_ENV_VAR] = args.engine
     return args.func(args)
 
 

@@ -65,25 +65,19 @@ class Cluster:
     @classmethod
     def build(cls, config: TestbedConfig | None = None,
               env: Environment | None = None,
-              topology: Union[str, TopologySpec, None] = None,
-              engine: str | None = None) -> "Cluster":
+              topology: Union[str, TopologySpec, None] = None) -> "Cluster":
         """Construct and boot a cluster (defaults: the paper's testbed).
 
         ``topology`` overrides the config's fabric: a
         :class:`~repro.hw.myrinet.topology.TopologySpec` or a compact
         string like ``"fattree:8,h=2"`` / ``"mesh:8x8"``; ``nnodes``
         follows the spec.
-
-        ``engine`` selects the simulation engine (``"scalar"`` /
-        ``"vector"``) when no ``env`` is supplied; default is
-        :func:`repro.sim.resolve_engine`'s resolution (``$REPRO_SIM_ENGINE``,
-        else scalar).
         """
         config = config or TestbedConfig()
         if topology is not None:
             spec = fabric_topology.resolve(topology, nhosts=config.nnodes)
             config = config.with_(topology=spec, nnodes=spec.nhosts)
-        cluster = cls(env or Environment(engine=engine), config)
+        cluster = cls(env or Environment(), config)
         cluster.boot()
         return cluster
 

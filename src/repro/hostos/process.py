@@ -24,9 +24,10 @@ def fresh_pid_namespace(first: int = 100) -> Iterator[None]:
 
     Pids are allocation-order identifiers from a process-global counter,
     so two otherwise identical simulations started at different points
-    in one interpreter get different pids.  The engine-differential
-    harness wraps each workload run in this so traces compare byte for
-    byte; the previous counter is restored on exit.
+    in one interpreter get different pids.  The golden-fingerprint
+    workloads (:mod:`repro.bench.differential`) run inside this so their
+    traces compare byte for byte across runs; the previous counter is
+    restored on exit.
     """
     global _pids
     saved = _pids

@@ -12,14 +12,12 @@ Fabrics are normally built declaratively: :func:`repro.hw.myrinet.topology
 (single/dual switch, fat-tree, mesh/torus) and installs the topology's
 deadlock-free route table via :meth:`MyrinetNetwork.install_topology`;
 :meth:`compute_route` then serves that table (up*/down* on fat-trees,
-dimension-order on meshes) instead of generic shortest path.  The old
-``single_switch``/``dual_switch`` classmethods remain as deprecated shims.
+dimension-order on meshes) instead of generic shortest path.
 """
 
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -286,38 +284,3 @@ class MyrinetNetwork:
         if not found:
             raise KeyError(f"no links touch device {device!r}")
         return found
-
-    # -- deprecated canned topologies -----------------------------------------
-    # The declarative replacements live in repro.hw.myrinet.topology:
-    #   topology.build(topology.SingleSwitchSpec(nhosts_=n), env, params)
-    #   topology.build("dual:8", env)
-    @classmethod
-    def single_switch(cls, env: Environment, nhosts: int,
-                      link_params: LinkParams | None = None,
-                      switch_ports: int = 8) -> "MyrinetNetwork":
-        """Deprecated shim for ``topology.build(SingleSwitchSpec(...))``."""
-        warnings.warn(
-            "MyrinetNetwork.single_switch() is deprecated; use "
-            "repro.hw.myrinet.topology.build(SingleSwitchSpec(nhosts_=n, "
-            "switch_ports=p), env, link_params)",
-            DeprecationWarning, stacklevel=2)
-        from repro.hw.myrinet import topology
-        if nhosts > switch_ports:
-            raise ValueError("more hosts than switch ports")
-        return topology.build(
-            topology.SingleSwitchSpec(nhosts_=nhosts,
-                                      switch_ports=switch_ports),
-            env, link_params)
-
-    @classmethod
-    def dual_switch(cls, env: Environment, nhosts: int,
-                    link_params: LinkParams | None = None) -> "MyrinetNetwork":
-        """Deprecated shim for ``topology.build(DualSwitchSpec(...))``."""
-        warnings.warn(
-            "MyrinetNetwork.dual_switch() is deprecated; use "
-            "repro.hw.myrinet.topology.build(DualSwitchSpec(nhosts_=n), "
-            "env, link_params)",
-            DeprecationWarning, stacklevel=2)
-        from repro.hw.myrinet import topology
-        return topology.build(topology.DualSwitchSpec(nhosts_=nhosts),
-                              env, link_params)

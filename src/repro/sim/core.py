@@ -13,53 +13,16 @@ same-time normal events.
 
 Per-event cost is kept low without changing any event: ``run()``
 inlines ``step()``, and ``succeed()`` and the hot constructors push their
-heap entries directly.  ``tests/golden_fingerprints.json`` pins the
-behaviour.
-
-Two engines share this event model and this drain loop (see DESIGN.md,
-"Two engines, one contract"):
-
-* the **scalar** engine — this module's :class:`Environment`, one heap
-  pop and one callback dispatch per event, every event individually
-  materialised.  It is the *correctness oracle*.
-* the **vector** engine — :class:`repro.sim.fastcore.VectorEnvironment`,
-  a drop-in subclass that differs only in processing homogeneous
-  deadline populations (:meth:`Environment.timeout_batch`) as numpy
-  array rings, one pop per *distinct timestamp* instead of one per
-  member.
-
-``Environment(engine="vector")`` — or ``REPRO_SIM_ENGINE=vector`` in the
-environment — selects the engine at construction; everything downstream
-(cluster boot, benches, campaigns, the CLI) goes through this switch.
-The differential harness (``tests/test_sim_differential.py``) holds the
-two engines to bit-identical traces, metrics and artifacts.
+heap entries directly.  This is the only event kernel (DESIGN.md §9, "One
+engine"); ``tests/golden_fingerprints.json`` and
+``tests/golden_fuzz_digests.json`` pin its behaviour.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, Optional, Sequence
-
-#: Environment variable consulted when no explicit ``engine=`` is given.
-ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-#: The engines ``Environment(engine=...)`` accepts.
-ENGINES = ("scalar", "vector")
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """The engine to use: explicit argument, else $REPRO_SIM_ENGINE,
-    else ``"scalar"``.  Raises :class:`SimulationError` on unknown names
-    (including a bad environment variable, so typos fail loudly)."""
-    value = engine or os.environ.get(ENGINE_ENV_VAR) or "scalar"
-    if value not in ENGINES:
-        source = ("engine argument" if engine
-                  else f"${ENGINE_ENV_VAR}")
-        raise SimulationError(
-            f"unknown simulation engine {value!r} (from {source}); "
-            f"expected one of {ENGINES}")
-    return value
+from typing import Any, Callable, Generator, Iterable, Optional
 
 #: One nanosecond (the base unit of simulated time).
 NS = 1
@@ -231,65 +194,6 @@ class Timeout(Event):
                               next(env._seq), self))
 
 
-class BatchTimeout(Event):
-    """A homogeneous population of member deadlines, waited on as one.
-
-    Created by :meth:`Environment.timeout_batch`.  Semantically the batch
-    is ``len(delays)`` anonymous member timeouts (the pre-vectorization
-    shape of slot-ring deadlines, DMA-completion timers and link-hop
-    arrivals): each member expires ``delays[i]`` ns from creation, and
-    the members have **no individually observable effect**.  The
-    observable contract, identical on both engines:
-
-    * ``on_fire(when, indices)`` runs once per *distinct* expiry
-      timestamp, at the queue position of that group's **last** member
-      (``indices`` is the member-index array for the group, in creation
-      order, as an ``int64`` ndarray);
-    * the batch event itself succeeds with the member count once every
-      member has expired;
-    * every member counts toward :attr:`Environment.events_processed`.
-
-    The scalar engine materialises one real :class:`Timeout` per member
-    (the oracle path); the vector engine keeps the population in numpy
-    arrays and pops one group per distinct timestamp.  The differential
-    harness holds the two to identical observable behaviour.
-    """
-
-    __slots__ = ("total", "fired")
-
-    def __init__(self, env: "Environment"):
-        super().__init__(env)
-        self.total = 0
-        self.fired = 0
-
-    def _group_fired(self, when: int, indices, on_fire) -> None:
-        if on_fire is not None:
-            on_fire(when, indices)
-        self.fired += len(indices)
-        if self.fired == self.total:
-            self.succeed(self.total)
-
-
-def _batch_groups(now: int, delays) -> list[tuple[int, Any]]:
-    """Group member deadlines by absolute expiry time.
-
-    Returns ``[(when, indices), ...]`` in ascending ``when`` order, with
-    ``indices`` the member indices expiring then, in creation order
-    (guaranteed by the stable sort).  Shared by both engines so the
-    grouping — and therefore ``on_fire``'s arguments — is identical.
-    """
-    import numpy as np
-
-    times = now + delays
-    order = np.argsort(times, kind="stable")
-    sorted_times = times[order]
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_times[1:] != sorted_times[:-1])))
-    bounds = list(starts) + [len(sorted_times)]
-    return [(int(sorted_times[bounds[g]]), order[bounds[g]:bounds[g + 1]])
-            for g in range(len(starts))]
-
-
 class Initialize(Event):
     """Internal event that starts a freshly created process."""
 
@@ -427,35 +331,14 @@ class Environment:
     #: Default scheduling priority.
     PRIORITY_NORMAL = 1
 
-    #: Which engine this class implements (subclasses override).
-    engine = "scalar"
-
-    def __new__(cls, initial_time: int = 0, tracer: Optional[Any] = None,
-                engine: Optional[str] = None) -> "Environment":
-        # ``Environment(...)`` is the single engine switch: it hands back
-        # a VectorEnvironment when asked (explicitly or via
-        # $REPRO_SIM_ENGINE), so every existing construction site gets
-        # engine selection for free.  Direct subclass construction
-        # (VectorEnvironment(), test doubles) bypasses the dispatch.
-        if cls is Environment and resolve_engine(engine) == "vector":
-            from repro.sim.fastcore import VectorEnvironment
-
-            return super().__new__(VectorEnvironment)
-        return super().__new__(cls)
-
-    def __init__(self, initial_time: int = 0, tracer: Optional[Any] = None,
-                 engine: Optional[str] = None):
-        if engine is not None and resolve_engine(engine) != self.engine:
-            raise SimulationError(
-                f"{type(self).__name__} is the {self.engine!r} engine; "
-                f"cannot construct it with engine={engine!r}")
+    def __init__(self, initial_time: int = 0, tracer: Optional[Any] = None):
         self._now = int(initial_time)
         self._queue: list[tuple[int, int, int, Event]] = []
         self._seq = itertools.count()
         self._active_process: Optional[Process] = None
         self.tracer = tracer
-        #: Events popped so far (batch members count individually), the
-        #: numerator of the simcore campaign's events/sec metric.
+        #: Events popped so far (perfbench's ``sim.events_per_op`` and
+        #: ``sim.events_per_host_s`` read it).
         self.events_processed = 0
 
     # -- clock -------------------------------------------------------------
@@ -487,54 +370,6 @@ class Environment:
         """Start a new process from ``generator``."""
         return Process(self, generator, name=name)
 
-    def timeout_batch(self, delays: Sequence[int],
-                      on_fire: Optional[Callable[[int, Any], None]] = None,
-                      ) -> BatchTimeout:
-        """Arm a population of anonymous deadlines as one batch.
-
-        ``delays`` is a 1-D sequence (or ndarray) of non-negative integer
-        nanosecond delays, one per member.  See :class:`BatchTimeout` for
-        the observable contract.  An empty batch succeeds immediately
-        with value 0.
-        """
-        import numpy as np
-
-        members = np.asarray(delays, dtype=np.int64)
-        if members.ndim != 1:
-            raise SimulationError(
-                f"timeout_batch delays must be 1-D, got shape {members.shape}")
-        if members.size and int(members.min()) < 0:
-            raise SimulationError(
-                f"negative delay {int(members.min())} in timeout_batch")
-        batch = BatchTimeout(self)
-        batch.total = int(members.size)
-        if not members.size:
-            batch.succeed(0)
-            return batch
-        self._arm_batch(batch, members, on_fire)
-        return batch
-
-    def _arm_batch(self, batch: BatchTimeout, members: Any,
-                   on_fire: Optional[Callable[[int, Any], None]]) -> None:
-        """Scalar (oracle) batch arming: one real Timeout per member.
-
-        Timeouts are created in member-index order so they consume
-        sequence numbers 0..n-1 of the block — the property the vector
-        engine reproduces arithmetically.  The group action rides on the
-        group's last member; earlier members are plain no-op pops.
-        """
-        fire_at = {}
-        for when, indices in _batch_groups(self._now, members):
-            fire_at[int(indices[-1])] = (when, indices)
-        for i in range(batch.total):
-            member = Timeout(self, int(members[i]))
-            group = fire_at.get(i)
-            if group is not None:
-                when, indices = group
-                member.callbacks.append(
-                    lambda _ev, w=when, ix=indices:
-                        batch._group_fired(w, ix, on_fire))
-
     def all_of(self, events: Iterable[Event]) -> Event:
         from repro.sim.conditions import AllOf
 
@@ -552,8 +387,7 @@ class Environment:
 
         Not an override point: :meth:`Event.succeed`, :class:`Timeout` and
         :class:`Initialize` (a process start) push their heap entries
-        directly, and the batch rings of the vector engine reserve
-        sequence blocks themselves.
+        directly.
         """
         if event._scheduled:
             raise SimulationError(f"{event!r} scheduled twice")

@@ -1,19 +1,16 @@
-"""Canonical fingerprints of simulation outputs, for engine differencing.
+"""Canonical fingerprints of simulation outputs.
 
-The differential harness (``tests/test_sim_differential.py``, ``python -m
-repro engine-diff``) runs the same workload on the scalar and vector
-engines and must decide "bit-identical or not" over three kinds of
-output: event traces (:class:`~repro.sim.trace.Tracer`), metrics
-snapshots, and JSON-serializable trial reports.  This module gives each
-a canonical form:
+The golden-fingerprint workloads (:mod:`repro.bench.differential`,
+``tests/golden_fingerprints.json``) must decide "bit-identical or not"
+over three kinds of output: event traces
+(:class:`~repro.sim.trace.Tracer`), metrics snapshots, and
+JSON-serializable trial reports.  This module gives each a canonical
+form:
 
 * :func:`trace_fingerprint` — digest of every trace record (time,
   category, payload) in order, plus the record/drop counts;
 * :func:`value_fingerprint` — digest of any JSON-serializable value via
-  a sorted-keys, exact-float canonical dump;
-* :func:`diff_values` — when digests disagree, the first few *paths*
-  where two structures diverge, so a CI failure names the divergent
-  metric instead of two opaque hashes.
+  a sorted-keys, exact-float canonical dump.
 
 Hashes are sha256 over a deterministic byte serialization — no
 repr()-of-floats ambiguity: floats are serialized via ``float.hex`` so
@@ -24,12 +21,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Iterator
+from typing import Any
 
 from repro.sim.trace import Tracer
 
 __all__ = ["canonical_json", "value_fingerprint", "trace_fingerprint",
-           "trace_payload", "diff_values"]
+           "trace_payload"]
 
 
 def _canon(value: Any) -> Any:
@@ -81,36 +78,3 @@ def trace_payload(tracer: Tracer) -> dict[str, Any]:
 def trace_fingerprint(tracer: Tracer) -> str:
     """sha256 hex digest of the full ordered trace."""
     return value_fingerprint(trace_payload(tracer))
-
-
-def _walk_diffs(a: Any, b: Any, path: str) -> Iterator[tuple[str, Any, Any]]:
-    if type(a) is not type(b):
-        yield (path, a, b)
-        return
-    if isinstance(a, dict):
-        for key in sorted(set(a) | set(b), key=str):
-            here = f"{path}.{key}" if path else str(key)
-            if key not in a:
-                yield (here, "<missing>", b[key])
-            elif key not in b:
-                yield (here, a[key], "<missing>")
-            else:
-                yield from _walk_diffs(a[key], b[key], here)
-    elif isinstance(a, list):
-        if len(a) != len(b):
-            yield (f"{path}.length", len(a), len(b))
-        for i, (x, y) in enumerate(zip(a, b)):
-            yield from _walk_diffs(x, y, f"{path}[{i}]")
-    elif a != b:
-        yield (path, a, b)
-
-
-def diff_values(a: Any, b: Any, limit: int = 20) -> list[tuple[str, Any, Any]]:
-    """First ``limit`` paths where two structures differ (after
-    canonicalization).  Empty list means identical."""
-    out = []
-    for entry in _walk_diffs(_canon(a), _canon(b), ""):
-        out.append(entry)
-        if len(out) >= limit:
-            break
-    return out

@@ -75,7 +75,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.sim import AnyOf, Environment, Event, Resource
+from repro.sim import AnyOf, Environment, Resource
 from repro.sim.trace import emit
 from repro.obs.metrics import count, observe, set_gauge
 from repro.mem.buffers import UserBuffer
@@ -210,58 +210,6 @@ def _reimport_with_backoff(env: Environment, imported: ImportedBuffer,
         return
 
 
-class _DeadlineBatcher:
-    """Coalesces same-tick retransmit deadlines into one
-    :meth:`~repro.sim.core.Environment.timeout_batch` population.
-
-    The adaptive sender's per-slot RTO deadlines are a textbook
-    homogeneous timer population: every in-flight slot arms one anonymous
-    deadline, nothing observes an individual member, and a full AIMD
-    window re-arms in the same tick whenever a cumulative ACK advances.
-    Arming them as individual :meth:`Environment.timeout` events kept KV
-    traffic off the vector engine's batched deadline ring; routing them
-    through ``timeout_batch`` puts the sender's hot timer path on the
-    same fast path the ROADMAP's PR-9 follow-on called for.
-
-    Mechanics: the first :meth:`arm` of a tick opens a pending batch and
-    schedules a zero-delay flush event behind every process currently
-    runnable at this timestamp; later arms in the same tick append to the
-    batch.  When the flush pops, one ``timeout_batch`` is armed for the
-    whole population and each member's proxy event succeeds from the
-    group ``on_fire`` callback.  Proxies whose waiters already woke (the
-    ACK watch won the race) still fire harmlessly, exactly like the
-    individual timeouts they replace.
-    """
-
-    __slots__ = ("env", "_pending")
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self._pending: Optional[list[tuple[int, Event]]] = None
-
-    def arm(self, delay_ns: int) -> Event:
-        """Return an event that succeeds ``delay_ns`` from now."""
-        proxy = Event(self.env)
-        if self._pending is None:
-            self._pending = [(delay_ns, proxy)]
-            flush = Event(self.env)
-            flush.callbacks.append(self._flush)
-            flush.succeed()
-        else:
-            self._pending.append((delay_ns, proxy))
-        return proxy
-
-    def _flush(self, _flush_event: Event) -> None:
-        pending, self._pending = self._pending, None
-        proxies = [proxy for _, proxy in pending]
-
-        def on_fire(when: int, indices) -> None:
-            for i in indices:
-                proxies[int(i)].succeed()
-
-        self.env.timeout_batch([delay for delay, _ in pending], on_fire)
-
-
 class ReliableSender:
     """Sending end of one reliable channel ``me → remote``.
 
@@ -357,9 +305,6 @@ class ReliableSender:
         #: In-progress transparent recovery of the stale ring import
         #: (serialises concurrent in-flight slots onto one reimport).
         self._recovering = None
-        #: Same-tick slot deadlines ride one ``timeout_batch`` population
-        #: (the vector engine's batched deadline ring).
-        self._deadlines = _DeadlineBatcher(self.env)
         set_gauge(self.env, "rel.rto_ns", self.rto_ns, channel=name)
         set_gauge(self.env, "rel.cwnd", self.cwnd, channel=name)
         set_gauge(self.env, "rel.inflight", 0, channel=name)
@@ -646,7 +591,7 @@ class ReliableSender:
                     deadline = self.env.now + slot_rto
                     continue
                 yield AnyOf(self.env,
-                            [watch, self._deadlines.arm(remaining)])
+                            [watch, self.env.timeout(remaining)])
             self.stats.messages_delivered += 1
             rtt = self.env.now - t0
             observe(self.env, "rel.rtt_ns", rtt, channel=self.name)

@@ -227,17 +227,6 @@ def test_dual_switch_topology_routes():
     assert route[0] == 7  # sw0's uplink port
 
 
-def test_deprecated_classmethod_shims():
-    env = Environment()
-    with pytest.warns(DeprecationWarning):
-        net = MyrinetNetwork.single_switch(env, 4)
-    assert net.compute_route("node0", "node3") == [3]
-    env = Environment()
-    with pytest.warns(DeprecationWarning):
-        net = MyrinetNetwork.dual_switch(env, 4)
-    assert net.compute_route("node0", "node3")[0] == 7
-
-
 def test_end_to_end_delivery_through_switch():
     env = Environment()
     net = topology.build("single:2", env)

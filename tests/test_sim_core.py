@@ -499,36 +499,8 @@ def test_nested_process_exception_can_be_caught_by_parent():
     assert got["caught"] == "inner exploded"
 
 
-# -- the engine switch ------------------------------------------------------
-def test_engine_dispatch_and_env_var(monkeypatch):
-    from repro.sim import ENGINE_ENV_VAR, VectorEnvironment, resolve_engine
-
-    monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-    assert type(Environment()) is Environment
-    assert type(Environment(engine="vector")) is VectorEnvironment
-    assert Environment(engine="vector").engine == "vector"
-    monkeypatch.setenv(ENGINE_ENV_VAR, "vector")
-    assert type(Environment()) is VectorEnvironment
-    assert resolve_engine() == "vector"
-    monkeypatch.setenv(ENGINE_ENV_VAR, "scalar")
-    assert type(Environment()) is Environment
-    monkeypatch.setenv(ENGINE_ENV_VAR, "warp")
-    with pytest.raises(SimulationError, match="warp"):
-        Environment()
-
-
-def test_engine_mismatch_rejected():
-    from repro.sim import VectorEnvironment
-
-    with pytest.raises(SimulationError, match="vector"):
-        VectorEnvironment(engine="scalar")
-    with pytest.raises(SimulationError, match="bogus"):
-        Environment(engine="bogus")
-
-
-@pytest.mark.parametrize("engine", ["scalar", "vector"])
-def test_run_variants_agree_across_engines(engine):
-    env = Environment(engine=engine)
+def test_run_until_process_time_and_unfired_event():
+    env = Environment()
 
     def work():
         yield env.timeout(7)
@@ -536,58 +508,15 @@ def test_run_variants_agree_across_engines(engine):
 
     assert env.run(until=env.process(work())) == "ret"
 
-    env2 = Environment(engine=engine)
+    env2 = Environment()
     env2.timeout(100)
     env2.run(until=50)
     assert env2.now == 50
     assert env2.events_processed == 0
 
-    env3 = Environment(engine=engine)
+    env3 = Environment()
     with pytest.raises(SimulationError, match="deadlock"):
         env3.run(until=env3.event())
-
-
-@pytest.mark.parametrize("engine", ["scalar", "vector"])
-def test_timeout_batch_contract(engine):
-    import numpy as np
-
-    env = Environment(engine=engine)
-    fired = []
-    batch = env.timeout_batch(
-        np.array([10, 5, 10, 3, 5, 10, 0]),
-        on_fire=lambda t, ix: fired.append((t, [int(i) for i in ix])))
-    done = {}
-
-    def waiter():
-        done["n"] = yield batch
-        done["t"] = env.now
-
-    env.process(waiter())
-    env.run()
-    assert fired == [(0, [6]), (3, [3]), (5, [1, 4]), (10, [0, 2, 5])]
-    assert done == {"n": 7, "t": 10}
-
-
-@pytest.mark.parametrize("engine", ["scalar", "vector"])
-def test_timeout_batch_edge_cases(engine):
-    env = Environment(engine=engine)
-    empty = env.timeout_batch([])
-    assert empty.triggered and empty.value == 0
-    with pytest.raises(SimulationError, match="negative"):
-        env.timeout_batch([3, -1])
-    with pytest.raises(SimulationError, match="1-D"):
-        env.timeout_batch([[1, 2], [3, 4]])
-
-
-def test_events_processed_counts_batch_members_identically():
-    def run(engine):
-        env = Environment(engine=engine)
-        env.timeout_batch([4, 4, 4, 9, 9])
-        env.timeout(4)
-        env.run()
-        return env.events_processed, env.now
-
-    assert run("scalar") == run("vector")
 
 
 # -- kernel contract: what the drain loop and direct pushes must keep -------

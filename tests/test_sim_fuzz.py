@@ -141,10 +141,6 @@ def _digest(log):
     return hashlib.sha256(json.dumps(log).encode()).hexdigest()
 
 
-def test_golden_file_covers_every_seed():
-    assert set(GOLDEN) == {str(seed) for seed in range(N_SEEDS)}
-
-
 @pytest.mark.parametrize("seed", range(N_SEEDS))
 def test_random_program_matches_golden_digest(seed):
     assert _digest(_execute(_generate_spec(seed))) == GOLDEN[str(seed)]
