@@ -1,3 +1,1 @@
-"""Runnable example scenarios (see README).  Import-able as a package so
-the CLI's `shootout` command can reuse `protocol_shootout.main` when run
-from a repository checkout."""
+"""Runnable example scenarios (see README)."""

@@ -9,8 +9,8 @@ fault campaign* (bit-error bursts injected mid-run) to demonstrate that
 chaos here is deterministic: same seed, same drops, same retransmit
 counts, byte for byte.
 
-Used by ``python -m repro chaos`` and
-``benchmarks/bench_chaos_reliability.py``.
+Used by ``python -m repro chaos``, the ``chaos``/``lossy`` campaigns and
+``tests/test_paper_shapes.py``.
 """
 
 from __future__ import annotations

@@ -1,38 +1,40 @@
-"""The regression gate: compare two ``BENCH_<AREA>.json`` artifacts.
+"""The regression gate: compare two ``BENCH_<AREA>.json`` artifacts exactly.
 
 ``campaign diff`` compares a *candidate* artifact (a fresh run) against
-the *baseline* committed at the repo root.  Per gated metric (direction
-``higher``/``lower`` with a ``regression_pct`` threshold) it compares the
-cell **medians**; a relative move beyond the threshold in the bad
-direction is a regression.  Moves in the good direction are reported as
-improvements (and are the cue to refresh the baseline — see
-docs/BENCHMARKS.md, "Refreshing baselines").
+the *baseline* committed at the repo root.  Every campaign metric is
+deterministic simulated output (integer-ns simulation, seeded RNG), so
+the gate is equality: every statistic (n/min/max/mean/median/ci95) of
+every metric of every baseline cell must equal the candidate's.  Any
+difference fails, in either direction and for ``info`` metrics too; an
+intended change is landed by refreshing the baseline (docs/BENCHMARKS.md,
+"Refreshing baselines").
 
 Structural problems always fail: schema/campaign mismatch, a baseline
-cell missing from the candidate, or any candidate cell with failed
-trial gates (SC violations, lost deliveries, ...).
+recorded from a dirty tree (its provenance is unknown), a baseline cell
+or metric missing from the candidate, or any candidate cell with failed
+trial gates (SC violations, lost deliveries, ...).  Cells and metrics
+new in the candidate are noted, not gated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 #: Statuses a (cell, metric) comparison can land on.
-OK, REGRESSION, IMPROVED, ZERO_BASELINE = (
-    "ok", "REGRESSION", "improved", "zero-baseline")
+OK, CHANGED = "ok", "CHANGED"
 
 
 @dataclass(frozen=True)
 class DiffRow:
     cell: str
     metric: str
-    direction: str
-    baseline: float
+    baseline: float                # cell median
     candidate: float
-    delta_pct: Optional[float]     # None when the baseline median is 0
-    threshold_pct: float
-    status: str
+    changed: tuple[str, ...]       # statistics that differ
+
+    @property
+    def status(self) -> str:
+        return CHANGED if self.changed else OK
 
 
 @dataclass
@@ -41,27 +43,19 @@ class DiffResult:
     rows: list[DiffRow] = field(default_factory=list)
     problems: list[str] = field(default_factory=list)
     new_cells: list[str] = field(default_factory=list)
+    new_metrics: list[str] = field(default_factory=list)
 
     @property
-    def regressions(self) -> list[DiffRow]:
-        return [row for row in self.rows if row.status == REGRESSION]
+    def changes(self) -> list[DiffRow]:
+        return [row for row in self.rows if row.changed]
 
     @property
     def ok(self) -> bool:
-        return not self.problems and not self.regressions
+        return not self.problems and not self.changes
 
 
-def _median(cell: dict, metric: str) -> float:
-    return cell["metrics"][metric]["median"]
-
-
-def diff_artifacts(baseline: dict, candidate: dict,
-                   max_regression_pct: Optional[float] = None) -> DiffResult:
-    """Gate ``candidate`` against ``baseline``; see the module docstring.
-
-    ``max_regression_pct`` overrides every metric's own threshold (the
-    CLI's ``--max-regression``).
-    """
+def diff_artifacts(baseline: dict, candidate: dict) -> DiffResult:
+    """Gate ``candidate`` against ``baseline``; see the module docstring."""
     result = DiffResult(campaign=str(candidate.get("campaign")))
     if baseline.get("campaign") != candidate.get("campaign"):
         result.problems.append(
@@ -74,6 +68,10 @@ def diff_artifacts(baseline: dict, candidate: dict,
             f"{baseline.get('schema_version')} vs candidate "
             f"{candidate.get('schema_version')} — regenerate the baseline")
         return result
+    if baseline.get("git", {}).get("dirty"):
+        result.problems.append(
+            "baseline was recorded from a dirty tree (git.dirty: true); "
+            "regenerate it from a clean checkout")
     if candidate.get("cells_with_failed_gates"):
         failed = [f"{cell['key']}: {', '.join(cell['gates_failed'])}"
                   for cell in candidate["cells"] if cell["gates_failed"]]
@@ -82,51 +80,27 @@ def diff_artifacts(baseline: dict, candidate: dict,
 
     base_cells = {cell["key"]: cell for cell in baseline["cells"]}
     cand_cells = {cell["key"]: cell for cell in candidate["cells"]}
-    for key in base_cells:
-        if key not in cand_cells:
-            result.problems.append(
-                f"cell {key!r} is in the baseline but missing from the "
-                "candidate (grid shrank? run the same shape)")
     result.new_cells = [key for key in cand_cells if key not in base_cells]
-
-    meta = candidate.get("metrics", {})
+    new_metrics = set()
     for key, base_cell in sorted(base_cells.items()):
         cand_cell = cand_cells.get(key)
         if cand_cell is None:
+            result.problems.append(
+                f"cell {key!r} is in the baseline but missing from the "
+                "candidate (grid shrank? run the same shape)")
             continue
-        for name, info in sorted(meta.items()):
-            direction = info.get("direction", "info")
-            threshold = (max_regression_pct
-                         if max_regression_pct is not None
-                         else info.get("regression_pct"))
-            if direction not in ("higher", "lower") or threshold is None:
-                continue
-            if (name not in base_cell["metrics"]
-                    or name not in cand_cell["metrics"]):
+        new_metrics |= set(cand_cell["metrics"]) - set(base_cell["metrics"])
+        for name, base in sorted(base_cell["metrics"].items()):
+            cand = cand_cell["metrics"].get(name)
+            if cand is None:
                 result.problems.append(
-                    f"cell {key!r}: metric {name!r} missing from "
-                    f"{'baseline' if name not in base_cell['metrics'] else 'candidate'}")
+                    f"cell {key!r}: metric {name!r} missing from the "
+                    "candidate")
                 continue
-            base = _median(base_cell, name)
-            cand = _median(cand_cell, name)
-            if base == 0:
-                status = OK if cand == 0 else ZERO_BASELINE
-                result.rows.append(DiffRow(
-                    cell=key, metric=name, direction=direction,
-                    baseline=base, candidate=cand, delta_pct=None,
-                    threshold_pct=threshold, status=status))
-                continue
-            delta_pct = (cand - base) / abs(base) * 100.0
-            worse = -delta_pct if direction == "higher" else delta_pct
-            if worse > threshold:
-                status = REGRESSION
-            elif worse < -threshold:
-                status = IMPROVED
-            else:
-                status = OK
+            changed = tuple(stat for stat in sorted(set(base) | set(cand))
+                            if base.get(stat) != cand.get(stat))
             result.rows.append(DiffRow(
-                cell=key, metric=name, direction=direction,
-                baseline=base, candidate=cand,
-                delta_pct=round(delta_pct, 3),
-                threshold_pct=threshold, status=status))
+                cell=key, metric=name, baseline=base["median"],
+                candidate=cand["median"], changed=changed))
+    result.new_metrics = sorted(new_metrics)
     return result

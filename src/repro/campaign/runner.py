@@ -243,7 +243,11 @@ def load_reports(spec: CampaignSpec, smoke: bool,
 
 def git_metadata(repo_dir: Optional[pathlib.Path] = None) -> dict:
     """Provenance of the artifact: commit, branch, dirty flag (best
-    effort — all ``None``/``False`` outside a git checkout)."""
+    effort — all ``None``/``False`` outside a git checkout).
+
+    Capture it once, before the first artifact of a run is written: an
+    artifact written to the repo root dirties the tree, so asking again
+    afterwards would mark every later artifact of the run dirty."""
     def ask(*argv: str) -> Optional[str]:
         try:
             out = subprocess.run(
@@ -288,11 +292,7 @@ def build_artifact(spec: CampaignSpec, *, smoke: bool = False,
         "grid": spec.resolved_grid(smoke),
         "seeds": spec.resolved_seeds(smoke),
         "metrics": {
-            m.name: {
-                "unit": m.unit,
-                "direction": m.direction,
-                "regression_pct": m.regression_pct,
-            }
+            m.name: {"unit": m.unit, "direction": m.direction}
             for m in spec.metrics
         },
         "cells": cells,

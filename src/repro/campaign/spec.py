@@ -4,8 +4,8 @@ A campaign is the unit of the perf trajectory: one parameter grid, one
 seed list, one trial function, one machine-readable ``BENCH_<AREA>.json``
 artifact at the repo root.  The spec is *declarative* — everything the
 runner, the aggregator, the diff gate and the handbook need (knobs,
-metric directions, regression thresholds, the smoke shape CI runs) lives
-here, so a registered campaign is self-describing.
+metric units and directions, the smoke shape CI runs) lives here, so a
+registered campaign is self-describing.
 
 The trial callable has the signature ``trial(params, seed) -> dict`` and
 must return ``{"metrics": {name: number}, "gates": {name: bool}}``
@@ -22,15 +22,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 #: Version of the BENCH_<AREA>.json artifact layout.  Bump on any
-#: structural change and document the migration in docs/BENCHMARKS.md.
-SCHEMA_VERSION = 1
+#: structural change and document the migration in docs/BENCHMARKS.md
+#: ("Schema versions").  2: metric metadata lost ``regression_pct`` when
+#: the diff gate became exact.
+SCHEMA_VERSION = 2
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9-]*$")
 _AREA_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
 
 #: Allowed metric directions: "higher" / "lower" say which way is
-#: *better* (the diff gate fails on moves the other way beyond the
-#: threshold); "info" metrics are recorded but never gated.
+#: *better*, "info" that neither is.  They document the metric; the diff
+#: gate ignores them, since it fails on any change of any metric.
 DIRECTIONS = ("higher", "lower", "info")
 
 
@@ -40,32 +42,17 @@ class SpecError(ValueError):
 
 @dataclass(frozen=True)
 class Metric:
-    """One column of the campaign's artifact.
-
-    ``regression_pct`` is the default diff-gate threshold: a relative
-    move beyond it in the bad direction fails ``campaign diff``.  ``None``
-    (or direction ``"info"``) means the metric is informational only.
-    """
+    """One column of the campaign's artifact."""
 
     name: str
     unit: str
     direction: str = "info"
-    regression_pct: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.direction not in DIRECTIONS:
             raise SpecError(
                 f"metric {self.name!r}: direction {self.direction!r} "
                 f"not in {DIRECTIONS}")
-        if self.regression_pct is not None and self.regression_pct <= 0:
-            raise SpecError(
-                f"metric {self.name!r}: regression_pct must be positive, "
-                f"got {self.regression_pct}")
-
-    @property
-    def gated(self) -> bool:
-        return (self.direction in ("higher", "lower")
-                and self.regression_pct is not None)
 
 
 @dataclass(frozen=True)

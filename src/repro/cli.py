@@ -1,21 +1,23 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Gives downstream users the paper's measurements without touching pytest:
+The paper's measurements (Figures 1-4, sections 5.2-7, the ablations
+and the chaos extensions) all run as registered campaigns,
+``campaign run <name>``; the other commands gate or inspect behaviour:
 
 ===========  ===========================================================
 command      what it runs
 ===========  ===========================================================
-latency      Figure 2 — ping-pong one-way latency sweep
-bandwidth    Figure 3 — one-way + bidirectional bandwidth sweep
-overhead     Figure 4 — sync/async send overhead sweep
-dma          Figure 1 — host↔LANai DMA bandwidth curve
-shootout     sections 6–7 — every protocol on identical hardware
-vrpc         section 5.4 — vRPC vs SunRPC/UDP
+campaign     experiment campaigns — ``list|run|resume|report|diff``:
+             declarative grid x seed sweeps fanned out over a process
+             pool, aggregated (min/median/mean/CI) into schema-versioned
+             ``BENCH_<AREA>.json`` artifacts at the repo root, with
+             ``diff`` as the exact CI gate against the committed
+             baselines (handbook: docs/BENCHMARKS.md)
 sram         NIC SRAM accounting of a booted node
-chaos        extension — lossy-link sweep + fault campaign: baseline
-             VMMC vs the reliable-delivery layer; with
-             ``--scenario daemon-cold-crash``, exactly-once delivery
-             across cold daemon restarts (``--report`` for JSON)
+chaos        extension — ``--scenario daemon-cold-crash``: exactly-once
+             delivery across cold daemon restarts; ``--scenario
+             multi-campaign``: concurrent overlapping fault campaigns;
+             both gated on delivery (``--report`` for JSON)
 dsm-bench    extension — seeded DSM coherence workload (page faults,
              invalidations, fetch latency) under clean/chaos scenarios,
              gated on the sequential-consistency checker and
@@ -25,12 +27,6 @@ kv-bench     extension — sharded KV serving tier driven by an open-loop
              imbalance) under clean/chaos scenarios, gated on delivery,
              the read-your-writes oracle and byte-identical reruns
              (``--report`` for JSON)
-campaign     experiment campaigns — ``list|run|resume|report|diff``:
-             declarative grid x seed sweeps fanned out over a process
-             pool, aggregated (min/median/mean/CI) into schema-versioned
-             ``BENCH_<AREA>.json`` artifacts at the repo root, with
-             ``diff`` as the CI regression gate against the committed
-             baselines (handbook: docs/BENCHMARKS.md)
 metrics      observability — metrics snapshot of the instrumented
              contract workload (``--json`` for machine consumption)
 trace        observability — Perfetto / Chrome trace-event export of the
@@ -44,121 +40,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench import VmmcPair
-from repro.bench.microbench import (
-    vmmc_bidirectional_bandwidth,
-    vmmc_oneway_bandwidth,
-    vmmc_pingpong_latency,
-    vmmc_send_overhead,
-)
-from repro.bench.report import Series, format_series, format_table
+from repro.bench.report import format_table
 from repro.cluster import Cluster, TestbedConfig
-
-
-def _sizes(text: str) -> list[int]:
-    return [int(s) for s in text.split(",") if s]
-
-
-def cmd_latency(args) -> int:
-    pair = VmmcPair(TestbedConfig(nnodes=2, memory_mb=16),
-                    buffer_bytes=max(args.sizes) * 4)
-    series = Series("VMMC one-way latency")
-    for size in args.sizes:
-        point = vmmc_pingpong_latency(pair, size, iterations=args.iters)
-        series.add(size, point.one_way_us)
-    print(format_series("Figure 2: VMMC latency for short messages",
-                        "bytes", "us", [series]))
-    return 0
-
-
-def cmd_bandwidth(args) -> int:
-    pair = VmmcPair(TestbedConfig(nnodes=2, memory_mb=32),
-                    buffer_bytes=max(max(args.sizes), 65536))
-    oneway = Series("one-way")
-    bidir = Series("bidirectional total")
-    for size in args.sizes:
-        oneway.add(size, vmmc_oneway_bandwidth(pair, size, args.iters).mbps)
-        bidir.add(size, vmmc_bidirectional_bandwidth(
-            pair, size, max(3, args.iters // 2)).mbps)
-    print(format_series("Figure 3: VMMC bandwidth", "bytes", "MB/s",
-                        [oneway, bidir]))
-    return 0
-
-
-def cmd_overhead(args) -> int:
-    pair = VmmcPair(TestbedConfig(nnodes=2, memory_mb=16),
-                    buffer_bytes=max(max(args.sizes), 16384))
-    sync = Series("sync")
-    async_ = Series("async")
-    for size in args.sizes:
-        sync.add(size, vmmc_send_overhead(
-            pair, size, synchronous=True, iterations=args.iters).overhead_us)
-        async_.add(size, vmmc_send_overhead(
-            pair, size, synchronous=False,
-            iterations=args.iters).overhead_us)
-    print(format_series("Figure 4: send overhead", "bytes", "us",
-                        [sync, async_]))
-    return 0
-
-
-def cmd_dma(args) -> int:
-    from repro.hw.bus.pci import PCIParams
-
-    params = PCIParams()
-    rows = [[size, f"{params.dma_bandwidth_mbps(size):.2f}"]
-            for size in args.sizes]
-    print(format_table("Figure 1: host<->LANai DMA bandwidth",
-                       ["block bytes", "MB/s"], rows))
-    return 0
-
-
-def cmd_shootout(args) -> int:
-    from examples import protocol_shootout  # pragma: no cover - thin
-
-    protocol_shootout.main()
-    return 0
-
-
-def cmd_vrpc(args) -> int:
-    from repro.rpc import (RPCProgram, VRPCClient, VRPCServer, XdrEncoder)
-
-    cluster = Cluster.build(TestbedConfig(nnodes=2, memory_mb=32))
-    env = cluster.env
-    _, client_ep = cluster.nodes[0].attach_process("client")
-    _, server_ep = cluster.nodes[1].attach_process("server")
-    prog = RPCProgram(0x20000001, 1)
-    prog.register(0, lambda dec: b"")
-    server = VRPCServer(server_ep, "node1", prog)
-    result = {}
-
-    def app():
-        chan = yield server.accept(client_ep, "node0", "cli")
-        client = VRPCClient(chan, prog.number, prog.version)
-        yield client.call(0)
-        t0 = env.now
-        for _ in range(args.iters):
-            yield client.call(0)
-        result["us"] = (env.now - t0) / args.iters / 1000
-
-    env.run(until=env.process(app()))
-    print(f"vRPC null round trip: {result['us']:.1f} us (paper: 66 us)")
-    return 0
-
-
-def cmd_breakdown(args) -> int:
-    if args.json:
-        from repro.obs.breakdown import measure_stage_breakdown
-
-        print(measure_stage_breakdown(args.size).to_json())
-        return 0
-    from repro.bench.breakdown import measure_breakdown
-
-    b = measure_breakdown(args.size)
-    rows = [[name, f"{us:.2f}"] for name, us in b.rows()]
-    print(format_table(
-        f"Latency breakdown of a {args.size}-byte send (section 5.2)",
-        ["stage", "us"], rows))
-    return 0
 
 
 def cmd_sram(args) -> int:
@@ -175,121 +58,14 @@ def cmd_sram(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    from repro.bench.chaos import (
-        run_baseline_point,
-        run_campaign_point,
-        run_cold_crash_point,
-        run_reliable_point,
-    )
-
-    if args.scenario == "daemon-cold-crash":
-        return _chaos_cold_crash(args, run_cold_crash_point)
-    if args.scenario == "error-burst":
-        return _chaos_error_burst(args)
     if args.scenario == "multi-campaign" or args.campaign:
         return _chaos_multi(args)
-
-    rows = []
-    for rate in args.rates:
-        base = run_baseline_point(rate, messages=args.messages,
-                                  size=args.size)
-        rel, _ = run_reliable_point(rate, messages=args.messages,
-                                    size=args.size)
-        for p in (base, rel):
-            rows.append([f"{rate:g}", p.mode,
-                         f"{p.delivered_intact}/{p.messages}",
-                         p.crc_drops, p.retransmits,
-                         f"{p.goodput_mbps:.1f}"])
-    print(format_table(
-        f"Chaos sweep: {args.messages} x {args.size}B messages per cell "
-        "(baseline VMMC drops silently; reliable-VMMC retransmits)",
-        ["error rate", "mode", "intact", "crc drops", "retransmits",
-         "goodput MB/s"], rows))
-    point, stats = run_campaign_point(seed=args.seed,
-                                      messages=max(20, args.messages // 2),
-                                      size=args.size)
-    print(f"\nFault campaign '{stats.campaign}' (seed {stats.seed}): "
-          f"{stats.faults_raised} faults raised, "
-          f"{point.delivered_intact}/{point.messages} intact, "
-          f"{point.retransmits} retransmits, "
-          f"{point.duplicates_suppressed} duplicates suppressed "
-          "(rerun with the same seed for identical numbers)")
-    return 0
-
-
-def _chaos_error_burst(args) -> int:
-    """``chaos --scenario error-burst``: sweep campaign seeds 0..N-1,
-    running the *adaptive* and *static* reliable senders under identical
-    seeded error bursts.  Gates (any failure exits 1):
-
-    * protocol invariants per run (exactly-once delivery, RTO within its
-      configured bounds, cwnd/in-flight never above the ring, Karn's
-      accounting) via :func:`repro.bench.chaos.check_trial_invariants`;
-    * determinism — every seed is run twice and the full reports must be
-      byte-identical.
-
-    ``--report FILE`` writes the static-vs-adaptive goodput table and
-    every per-seed report as JSON (the CI artifact)."""
-    import json
-
-    from repro.bench.chaos import check_trial_invariants, run_error_burst_trial
-
-    seeds = list(range(args.seeds))
-    rows = []
-    reports = []
-    violations: list[str] = []
-    nondeterministic: list[int] = []
-    for seed in seeds:
-        per_mode = {}
-        for adaptive in (False, True):
-            trial = run_error_burst_trial(
-                seed, messages=args.messages, size=args.size,
-                adaptive=adaptive)
-            rerun = run_error_burst_trial(
-                seed, messages=args.messages, size=args.size,
-                adaptive=adaptive)
-            if json.dumps(trial, sort_keys=True) != \
-                    json.dumps(rerun, sort_keys=True):
-                nondeterministic.append(seed)
-            for v in check_trial_invariants(trial):
-                violations.append(f"seed {seed} [{trial['mode']}]: {v}")
-            per_mode[trial["mode"]] = trial
-            reports.append(trial)
-        static, adaptive_ = per_mode["static"], per_mode["adaptive"]
-        rows.append([seed,
-                     f"{adaptive_['delivered_intact']}/{args.messages}",
-                     static["retransmits"], adaptive_["retransmits"],
-                     f"{static['goodput_mbps']:.1f}",
-                     f"{adaptive_['goodput_mbps']:.1f}",
-                     f"{adaptive_['goodput_mbps'] / static['goodput_mbps']:.2f}x"
-                     if static["goodput_mbps"] else "-"])
-    print(format_table(
-        f"Error-burst seed sweep: {args.messages} x {args.size}B messages, "
-        "static vs adaptive reliable sender under identical burst campaigns",
-        ["seed", "intact", "retx static", "retx adaptive",
-         "static MB/s", "adaptive MB/s", "speedup"], rows))
-    for line in violations:
-        print(f"INVARIANT VIOLATION: {line}")
-    for seed in nondeterministic:
-        print(f"NONDETERMINISM: seed {seed} produced different stats "
-              "on re-run")
-    ok = not violations and not nondeterministic
-    print(f"{len(seeds)} seeds x 2 modes x 2 runs: "
-          + ("PASS" if ok else "FAIL"))
-    if args.report:
-        report = {
-            "scenario": "error-burst",
-            "seeds": seeds,
-            "messages": args.messages,
-            "size": args.size,
-            "violations": violations,
-            "nondeterministic_seeds": nondeterministic,
-            "trials": reports,
-        }
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"report written to {args.report}")
-    return 0 if ok else 1
+    if args.scenario == "daemon-cold-crash":
+        return _chaos_cold_crash(args)
+    print("chaos: choose --scenario daemon-cold-crash or multi-campaign "
+          "(the lossy-link and error-burst sweeps are `campaign run "
+          "lossy|chaos`)")
+    return 2
 
 
 def _chaos_multi(args) -> int:
@@ -372,11 +148,13 @@ def _chaos_multi(args) -> int:
     return 0 if ok else 1
 
 
-def _chaos_cold_crash(args, run_cold_crash_point) -> int:
+def _chaos_cold_crash(args) -> int:
     """``chaos --scenario daemon-cold-crash``: reliable traffic while both
     daemons cold-crash; prove exactly-once delivery across the recovery
     protocol and (optionally) write a JSON report."""
     import json
+
+    from repro.bench.chaos import run_cold_crash_point
 
     point, stats, recovery = run_cold_crash_point(
         seed=args.seed, messages=args.messages, size=args.size)
@@ -604,10 +382,12 @@ def _reject_single_out(args) -> bool:
 
 def _run_campaigns(args, resume: bool) -> int:
     from repro.campaign import (IncompleteRunError, build_artifact,
-                                get_campaign, run_campaign, write_artifact)
+                                get_campaign, run_campaign, runner,
+                                write_artifact)
 
     if _reject_single_out(args):
         return 1
+    git = runner.git_metadata()     # before this run writes anything
     failures = 0
     for name in args.name:
         spec = get_campaign(name)
@@ -624,7 +404,7 @@ def _run_campaigns(args, resume: bool) -> int:
             continue
         try:
             artifact = build_artifact(spec, smoke=args.smoke,
-                                      state_root=args.state_root)
+                                      state_root=args.state_root, git=git)
         except IncompleteRunError as exc:
             print(f"ERROR: {exc}")
             failures += 1
@@ -671,16 +451,17 @@ def cmd_campaign_resume(args) -> int:
 
 def cmd_campaign_report(args) -> int:
     from repro.campaign import (IncompleteRunError, build_artifact,
-                                get_campaign, write_artifact)
+                                get_campaign, runner, write_artifact)
 
     if _reject_single_out(args):
         return 1
+    git = runner.git_metadata()     # before this run writes anything
     failures = 0
     for name in args.name:
         spec = get_campaign(name)
         try:
             artifact = build_artifact(spec, smoke=args.smoke,
-                                      state_root=args.state_root)
+                                      state_root=args.state_root, git=git)
         except IncompleteRunError as exc:
             print(f"ERROR: {exc}")
             failures += 1
@@ -730,24 +511,26 @@ def cmd_campaign_diff(args) -> int:
                 path = _campaign_artifact_path(spec, args)
                 write_artifact(candidate, path)
                 print(f"candidate artifact written to {path}")
-        result = diff_artifacts(baseline, candidate,
-                                max_regression_pct=args.max_regression)
+        result = diff_artifacts(baseline, candidate)
         rows = [[row.cell, row.metric, f"{row.baseline:g}",
                  f"{row.candidate:g}",
-                 "-" if row.delta_pct is None else f"{row.delta_pct:+.2f}%",
-                 f"{row.threshold_pct:g}%", row.status]
+                 ("CHANGED " + ",".join(row.changed)) if row.changed
+                 else "ok"]
                 for row in result.rows]
         print(format_table(
             f"campaign diff {name}: candidate vs baseline "
-            f"({baseline_path}), cell medians",
-            ["cell", "metric", "baseline", "candidate", "delta",
-             "threshold", "status"], rows))
+            f"({baseline_path}), exact match of every cell statistic",
+            ["cell", "metric", "baseline median", "candidate median",
+             "status"], rows))
         for problem in result.problems:
             print(f"PROBLEM: {problem}")
         for key in result.new_cells:
             print(f"note: cell {key!r} is new in the candidate "
                   "(not gated)")
-        print(f"campaign {name} regression gate: "
+        for metric in result.new_metrics:
+            print(f"note: metric {metric!r} is new in the candidate "
+                  "(not gated)")
+        print(f"campaign {name} exact gate: "
               + ("PASS" if result.ok else "FAIL"))
         if not result.ok:
             failures += 1
@@ -831,10 +614,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def _rates(text: str) -> list[float]:
-    return [float(s) for s in text.split(",") if s]
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -842,66 +621,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "measurements from the command line.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    lat = sub.add_parser("latency", help="Figure 2 latency sweep")
-    lat.add_argument("--sizes", type=_sizes, default=[4, 16, 64, 128, 256])
-    lat.add_argument("--iters", type=int, default=10)
-    lat.set_defaults(func=cmd_latency)
-
-    bw = sub.add_parser("bandwidth", help="Figure 3 bandwidth sweep")
-    bw.add_argument("--sizes", type=_sizes,
-                    default=[4096, 65536, 262144])
-    bw.add_argument("--iters", type=int, default=8)
-    bw.set_defaults(func=cmd_bandwidth)
-
-    ovh = sub.add_parser("overhead", help="Figure 4 overhead sweep")
-    ovh.add_argument("--sizes", type=_sizes, default=[4, 64, 128, 256, 1024])
-    ovh.add_argument("--iters", type=int, default=6)
-    ovh.set_defaults(func=cmd_overhead)
-
-    dma = sub.add_parser("dma", help="Figure 1 DMA curve")
-    dma.add_argument("--sizes", type=_sizes,
-                     default=[64, 256, 1024, 4096, 16384, 65536])
-    dma.set_defaults(func=cmd_dma)
-
-    shoot = sub.add_parser("shootout", help="sections 6-7 comparison")
-    shoot.set_defaults(func=cmd_shootout)
-
-    vrpc = sub.add_parser("vrpc", help="section 5.4 vRPC null call")
-    vrpc.add_argument("--iters", type=int, default=10)
-    vrpc.set_defaults(func=cmd_vrpc)
-
-    brk = sub.add_parser("breakdown",
-                         help="section 5.2 per-stage latency accounting")
-    brk.add_argument("--size", type=int, default=4)
-    brk.add_argument("--json", action="store_true",
-                     help="machine-readable stage breakdown")
-    brk.set_defaults(func=cmd_breakdown)
-
     sram = sub.add_parser("sram", help="NIC SRAM accounting")
     sram.add_argument("--processes", type=int, default=2)
     sram.set_defaults(func=cmd_sram)
 
     chaos = sub.add_parser(
-        "chaos", help="lossy-link sweep + fault campaign: baseline vs "
-                      "reliable VMMC")
-    chaos.add_argument("--rates", type=_rates,
-                       default=[0.0, 1e-6, 1e-4, 1e-3])
+        "chaos", help="fault-recovery gates: daemon cold crash, "
+                      "concurrent fault campaigns")
     chaos.add_argument("--messages", type=int, default=60)
     chaos.add_argument("--size", type=int, default=1024)
     chaos.add_argument("--seed", type=int, default=7)
-    chaos.add_argument("--seeds", type=int, default=10, metavar="N",
-                       help="error-burst scenario: sweep campaign seeds "
-                            "0..N-1 (default 10)")
     chaos.add_argument("--scenario",
-                       choices=["sweep", "daemon-cold-crash", "error-burst",
-                                "multi-campaign"],
-                       default="sweep",
-                       help="'sweep' = lossy-link comparison (default); "
-                            "'daemon-cold-crash' = reliable traffic across "
+                       choices=["daemon-cold-crash", "multi-campaign"],
+                       help="'daemon-cold-crash' = reliable traffic across "
                             "cold daemon restarts (recovery protocol); "
-                            "'error-burst' = static-vs-adaptive seed sweep "
-                            "under burst campaigns, with protocol-invariant "
-                            "and determinism gates; "
                             "'multi-campaign' = several seeded campaigns "
                             "driven concurrently on one cluster "
                             "(overlapping faults stack; merged FaultStats "
@@ -982,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     camp = sub.add_parser(
         "campaign",
         help="experiment campaigns: grid x seeds -> BENCH_<AREA>.json "
-             "artifacts + CI regression gate (docs/BENCHMARKS.md)")
+             "artifacts + exact CI gate (docs/BENCHMARKS.md)")
     csub = camp.add_subparsers(dest="action", required=True)
 
     def _campaign_common(sp, names: bool = True):
@@ -1031,8 +764,8 @@ def build_parser() -> argparse.ArgumentParser:
     crep.set_defaults(func=cmd_campaign_report)
 
     cdiff = csub.add_parser(
-        "diff", help="regression gate: candidate artifact vs the "
-                     "committed baseline (no candidate -> fresh run)")
+        "diff", help="exact gate: candidate artifact vs the committed "
+                     "baseline (no candidate -> fresh run)")
     _campaign_common(cdiff)
     cdiff.add_argument("--baseline", metavar="FILE", default=None,
                        help="baseline artifact "
@@ -1043,10 +776,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory holding candidate "
                             "BENCH_<AREA>.json artifacts")
     cdiff.add_argument("--jobs", type=int, default=None)
-    cdiff.add_argument("--max-regression", type=float, default=None,
-                       metavar="PCT",
-                       help="override every metric's regression "
-                            "threshold (percent)")
     cdiff.set_defaults(func=cmd_campaign_diff)
 
     topo = sub.add_parser(

@@ -21,8 +21,8 @@ deterministic chaos harness over the simulated cluster:
   several campaigns' stats into one :class:`MergedFaultStats` whose
   per-target fault time counts overlapped intervals once.
 
-Used by ``python -m repro chaos`` and
-``benchmarks/bench_chaos_reliability.py`` to prove that
+Used by ``python -m repro chaos`` and the ``chaos``/``lossy`` campaigns
+to prove that
 :mod:`repro.vmmc.reliable` delivers byte-exact payloads where base VMMC
 silently drops.
 """

@@ -11,9 +11,8 @@ they sum to the measured end-to-end latency **exactly** (the acceptance
 criterion allows 1 %; we deliver 0).
 
 :func:`measure_stage_breakdown` is the programmatic entry point; the
-``python -m repro breakdown`` CLI and ``benchmarks/bench_latency_breakdown``
-both render its output, and :mod:`repro.bench.breakdown` keeps its original
-µs-level dataclass as a thin view over this one.
+``breakdown`` campaign (``python -m repro campaign run breakdown``) records
+its stages per message size in ``BENCH_BREAKDOWN.json``.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ class StageBreakdown:
         return rows
 
     def as_dict(self) -> dict[str, Any]:
-        """JSON-ready form consumed by benchmarks/ and the CLI ``--json``."""
+        """JSON-ready form (stages in ns, totals in ns and µs)."""
         return {
             "size_bytes": self.size,
             "stages_ns": {key: ns for key, (_, ns)

@@ -1,19 +1,21 @@
 """Tests for the experiment-campaign layer (`repro.campaign`).
 
-Covers the ISSUE-7 checklist: spec parsing/validation errors, grid x
-seed expansion, resume-after-kill picking up exactly the unfinished
-cells (byte-identical aggregate artifact), aggregation math against
-hand-computed fixtures, and the `campaign diff` pass/fail thresholds —
-plus the CLI surface CI drives.
+Covers spec parsing/validation errors, grid x seed expansion,
+resume-after-kill picking up exactly the unfinished cells (byte-identical
+aggregate artifact), aggregation math against hand-computed fixtures,
+the exact `campaign diff` gate and artifact provenance — plus the CLI
+surface CI drives.
 """
 
 import copy
 import json
 import math
+import pathlib
 
 import pytest
 
 from repro.campaign import (
+    SCHEMA_VERSION,
     CampaignSpec,
     IncompleteRunError,
     Metric,
@@ -21,9 +23,11 @@ from repro.campaign import (
     aggregate_cell,
     aggregate_values,
     build_artifact,
+    campaign_names,
     cell_key,
     diff_artifacts,
     get_campaign,
+    load_artifact,
     register,
     run_campaign,
     state_dir_for,
@@ -33,6 +37,15 @@ from repro.campaign import (
 from repro.cli import main
 
 GIT = {"commit": "test", "branch": "main", "dirty": False}
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def clean_git(monkeypatch):
+    """Stub provenance: the CLI records a clean tree whatever the
+    checkout's state."""
+    monkeypatch.setattr("repro.campaign.runner.git_metadata",
+                        lambda repo_dir=None: dict(GIT))
 
 
 def _trial(params, seed):
@@ -46,7 +59,7 @@ def _spec(**overrides):
         paper_ref="none", trial=_trial,
         grid={"x": (1, 2), "y": ("a", "b")},
         seeds=(0, 1, 2),
-        metrics=(Metric("value", "units", "higher", 10.0),),
+        metrics=(Metric("value", "units", "higher"),),
     )
     kwargs.update(overrides)
     return CampaignSpec(**kwargs)
@@ -90,8 +103,6 @@ def test_spec_rejects_metric_problems():
         _spec(metrics=(Metric("v", "u"), Metric("v", "u")))
     with pytest.raises(SpecError, match="direction"):
         Metric("v", "u", "sideways")
-    with pytest.raises(SpecError, match="positive"):
-        Metric("v", "u", "higher", -5.0)
 
 
 def test_spec_rejects_smoke_and_fixed_conflicts():
@@ -199,7 +210,7 @@ def _counting_spec(tmp_path, name="counting"):
 
     spec = register(_spec(name=name, area=name.upper().replace("-", "_"),
                           trial=trial,
-                          metrics=(Metric("value", "u", "higher", 10.0),)))
+                          metrics=(Metric("value", "u", "higher"),)))
     return spec, counter
 
 
@@ -211,7 +222,9 @@ def test_run_executes_full_grid_and_aggregates(tmp_path):
         assert summary["trials_executed"] == 12
         assert len(counter.read_text().splitlines()) == 12
         artifact = build_artifact(spec, state_root=tmp_path / "s", git=GIT)
-        assert artifact["schema_version"] == 1
+        assert artifact["schema_version"] == SCHEMA_VERSION == 2
+        assert artifact["metrics"] == {
+            "value": {"unit": "u", "direction": "higher"}}
         assert artifact["artifact"] == "BENCH_COUNTING.json"
         assert len(artifact["cells"]) == 4
         # x=2 cells: values 20,21,22 across seeds -> median 21.
@@ -311,14 +324,13 @@ def test_failed_gates_surface_in_artifact(tmp_path):
 
 
 # -------------------------------------------------------------- the diff gate
-def _artifact(medians, *, direction="higher", threshold=10.0,
-              gates_failed=(), schema=1):
+def _artifact(medians, *, direction="higher", gates_failed=(),
+              schema=SCHEMA_VERSION, dirty=False):
     return {
         "schema_version": schema,
         "campaign": "tiny",
         "cells_with_failed_gates": 1 if gates_failed else 0,
-        "metrics": {"value": {"unit": "u", "direction": direction,
-                              "regression_pct": threshold}},
+        "metrics": {"value": {"unit": "u", "direction": direction}},
         "cells": [
             {"key": key, "params": {}, "seeds": [0],
              "gates_failed": list(gates_failed),
@@ -326,6 +338,7 @@ def _artifact(medians, *, direction="higher", threshold=10.0,
                                    "mean": m, "median": m, "ci95": 0.0}}}
             for key, m in medians.items()
         ],
+        "git": dict(GIT, dirty=dirty),
     }
 
 
@@ -334,33 +347,74 @@ def test_diff_identical_passes():
     result = diff_artifacts(base, copy.deepcopy(base))
     assert result.ok
     assert result.rows[0].status == "ok"
-    assert result.rows[0].delta_pct == 0.0
+    assert result.rows[0].changed == ()
 
 
-def test_diff_flags_regression_beyond_threshold_higher_is_better():
+def test_diff_fails_on_any_metric_change():
     result = diff_artifacts(_artifact({"a": 100.0}),
-                            _artifact({"a": 89.0}))
+                            _artifact({"a": 99.99}))
     assert not result.ok
-    assert result.regressions[0].delta_pct == -11.0
-    # Within threshold: 10% down exactly is not a regression.
-    assert diff_artifacts(_artifact({"a": 100.0}),
-                          _artifact({"a": 90.0})).ok
+    assert result.changes[0].status == "CHANGED"
+    assert result.changes[0].changed == ("max", "mean", "median", "min")
+    # One ulp in an info metric fails too.
+    nudged = _artifact({"a": math.nextafter(100.0, 0.0)}, direction="info")
+    assert not diff_artifacts(_artifact({"a": 100.0}, direction="info"),
+                              nudged).ok
+    # So does a statistic other than the median.
+    spread = _artifact({"a": 100.0})
+    spread["cells"][0]["metrics"]["value"]["ci95"] = 0.5
+    assert diff_artifacts(_artifact({"a": 100.0}), spread).changes
 
 
-def test_diff_lower_is_better_direction():
+def test_diff_fails_on_moves_in_either_direction():
     base = _artifact({"a": 10.0}, direction="lower")
-    worse = _artifact({"a": 11.5}, direction="lower")
-    better = _artifact({"a": 8.0}, direction="lower")
-    assert not diff_artifacts(base, worse).ok
-    improved = diff_artifacts(base, better)
-    assert improved.ok
-    assert improved.rows[0].status == "improved"
+    assert not diff_artifacts(base, _artifact({"a": 11.5},
+                                              direction="lower")).ok
+    assert not diff_artifacts(base, _artifact({"a": 8.0},
+                                              direction="lower")).ok
 
 
-def test_diff_max_regression_override():
-    base, cand = _artifact({"a": 100.0}), _artifact({"a": 95.0})
-    assert diff_artifacts(base, cand).ok                       # 10% default
-    assert not diff_artifacts(base, cand, max_regression_pct=2.0).ok
+def test_diff_fails_on_the_chaos_adaptive_drift():
+    """The drift a percentage threshold let through: the chaos
+    ``mode=adaptive`` cell's goodput moving -4.86 % (26.73 -> 25.43
+    MB/s) against the committed baseline."""
+    baseline = load_artifact(REPO / "BENCH_CHAOS.json")
+    candidate = copy.deepcopy(baseline)
+    cell = next(c for c in candidate["cells"] if c["key"] == "mode=adaptive")
+    cell["metrics"]["goodput_mbps"]["median"] *= 25.43 / 26.73
+    assert diff_artifacts(baseline, copy.deepcopy(baseline)).ok
+    result = diff_artifacts(baseline, candidate)
+    assert not result.ok
+    assert [(row.cell, row.metric) for row in result.changes] == [
+        ("mode=adaptive", "goodput_mbps")]
+
+
+def test_diff_zero_baseline_is_gated_exactly():
+    result = diff_artifacts(_artifact({"a": 0.0}), _artifact({"a": 5.0}))
+    assert not result.ok
+    assert diff_artifacts(_artifact({"a": 0.0}), _artifact({"a": 0.0})).ok
+
+
+def test_diff_fails_on_a_dirty_baseline():
+    result = diff_artifacts(_artifact({"a": 1.0}, dirty=True),
+                            _artifact({"a": 1.0}))
+    assert not result.ok
+    assert any("dirty tree" in p for p in result.problems)
+    # The candidate's provenance is not gated.
+    assert diff_artifacts(_artifact({"a": 1.0}),
+                          _artifact({"a": 1.0}, dirty=True)).ok
+
+
+def test_diff_notes_new_metrics_without_gating_them():
+    cand = _artifact({"a": 1.0})
+    cand["cells"][0]["metrics"]["extra"] = dict(
+        cand["cells"][0]["metrics"]["value"])
+    result = diff_artifacts(_artifact({"a": 1.0}), cand)
+    assert result.ok
+    assert result.new_metrics == ["extra"]
+    # The reverse -- a baseline metric the candidate lost -- fails.
+    lost = diff_artifacts(cand, _artifact({"a": 1.0}))
+    assert any("'extra' missing" in p for p in lost.problems)
 
 
 def test_diff_missing_cell_and_new_cell():
@@ -381,17 +435,10 @@ def test_diff_fails_on_candidate_gate_failures():
 
 def test_diff_schema_and_campaign_mismatch():
     base = _artifact({"a": 1.0})
-    assert not diff_artifacts(base, _artifact({"a": 1.0}, schema=2)).ok
+    assert not diff_artifacts(base, _artifact({"a": 1.0}, schema=1)).ok
     other = _artifact({"a": 1.0})
     other["campaign"] = "other"
     assert not diff_artifacts(base, other).ok
-
-
-def test_diff_zero_baseline_is_noted_not_gated():
-    result = diff_artifacts(_artifact({"a": 0.0}), _artifact({"a": 5.0}))
-    assert result.ok
-    assert result.rows[0].status == "zero-baseline"
-    assert result.rows[0].delta_pct is None
 
 
 # ------------------------------------------------------------------- the CLI
@@ -403,7 +450,7 @@ def test_cli_campaign_list(capsys):
     assert "BENCH_DSM.json" in out
 
 
-def test_cli_campaign_run_and_diff_roundtrip(tmp_path, capsys):
+def test_cli_campaign_run_and_diff_roundtrip(tmp_path, capsys, clean_git):
     out = tmp_path / "BENCH_DMA.json"
     assert main(["campaign", "run", "dma",
                  "--state-root", str(tmp_path / "s"),
@@ -415,9 +462,8 @@ def test_cli_campaign_run_and_diff_roundtrip(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_cli_campaign_diff_detects_regression(tmp_path, capsys):
-    from repro.campaign import load_artifact
-
+def test_cli_campaign_diff_detects_regression(tmp_path, capsys,
+                                              clean_git):
     out = tmp_path / "BENCH_DMA.json"
     main(["campaign", "run", "dma", "--state-root", str(tmp_path / "s"),
           "--jobs", "1", "--out", str(out)])
@@ -433,7 +479,8 @@ def test_cli_campaign_diff_detects_regression(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_cli_campaign_report_reaggregates_without_running(tmp_path, capsys):
+def test_cli_campaign_report_reaggregates_without_running(tmp_path, capsys,
+                                                         clean_git):
     main(["campaign", "run", "dma", "--state-root", str(tmp_path / "s"),
           "--jobs", "1", "--out", str(tmp_path / "a.json")])
     capsys.readouterr()
@@ -453,3 +500,41 @@ def test_cli_campaign_out_requires_single_name(tmp_path, capsys):
 def test_state_dir_separates_smoke_from_full(tmp_path, tiny):
     assert state_dir_for(tiny, False, tmp_path).name == "tiny"
     assert state_dir_for(tiny, True, tmp_path).name == "tiny-smoke"
+
+
+def test_cli_run_records_provenance_once_before_writing(tmp_path, capsys,
+                                                        monkeypatch):
+    """``campaign run a b c``: the tree is dirtied by the first artifact
+    written, so provenance asked per artifact would mark every later one
+    dirty.  It is captured once, before the first write."""
+    out_dir = tmp_path / "out"
+    calls = []
+
+    def git_metadata(repo_dir=None):
+        calls.append(1)
+        return dict(GIT, dirty=any(out_dir.glob("BENCH_*.json")))
+
+    monkeypatch.setattr("repro.campaign.runner.git_metadata", git_metadata)
+    names = ["dma", "hwlimits", "ablation-threshold"]
+    assert main(["campaign", "run", *names, "--jobs", "1",
+                 "--state-root", str(tmp_path / "s"),
+                 "--out-dir", str(out_dir)]) == 0
+    assert len(calls) == 1
+    for name in names:
+        artifact = load_artifact(
+            out_dir / get_campaign(name).artifact_name)
+        assert artifact["git"] == GIT
+
+
+@pytest.mark.parametrize("name", campaign_names())
+def test_every_campaign_has_a_clean_committed_baseline(name):
+    """One committed artifact per registered campaign, at the current
+    schema, in its smoke shape, recorded from a clean tree."""
+    spec = get_campaign(name)
+    artifact = load_artifact(REPO / spec.artifact_name)
+    assert artifact["schema_version"] == SCHEMA_VERSION
+    assert artifact["smoke"] is True
+    assert artifact["git"]["dirty"] is False
+    assert [cell["key"] for cell in artifact["cells"]] == [
+        cell_key(params) for params in spec.cells(smoke=True)]
+    assert artifact["cells_with_failed_gates"] == 0

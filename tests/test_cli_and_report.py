@@ -1,22 +1,14 @@
-"""Tests for the CLI and the report-rendering helpers."""
+"""Tests for the CLI and the report-rendering helper."""
+
+import json
 
 import pytest
 
-from repro.bench.report import Series, format_series, format_table
+from repro.bench.report import format_table
 from repro.cli import build_parser, main
 
 
 # ------------------------------------------------------------------- report
-def test_series_accumulates_and_queries():
-    s = Series("bw")
-    s.add(4, 10.0)
-    s.add(8, 20.0)
-    assert s.y_at(8) == 20.0
-    assert s.peak == 20.0
-    with pytest.raises(KeyError):
-        s.y_at(99)
-
-
 def test_format_table_alignment_and_floats():
     text = format_table("T", ["a", "bbb"], [[1, 2.345], ["xy", 7]])
     lines = text.splitlines()
@@ -28,40 +20,48 @@ def test_format_table_alignment_and_floats():
     assert len(widths) == 1
 
 
-def test_format_series_merges_on_x():
-    s1 = Series("one")
-    s1.add(4, 1.0)
-    s1.add(8, 2.0)
-    s2 = Series("two")
-    s2.add(8, 3.0)
-    text = format_series("F", "x", "y", [s1, s2])
-    rows = text.splitlines()
-    assert any("4" in r and "1.00" in r for r in rows)
-    # Missing point renders as blank, not a crash.
-    assert any("8" in r and "3.00" in r for r in rows)
-
-
 # ----------------------------------------------------------------------- CLI
 def test_parser_knows_all_commands():
     parser = build_parser()
-    for command in ("latency", "bandwidth", "overhead", "dma", "shootout",
-                    "vrpc", "sram", "metrics", "trace", "breakdown"):
-        args = parser.parse_args([command])
+    for argv in (["campaign", "list"], ["chaos"], ["dsm-bench"],
+                 ["kv-bench"], ["sram"], ["topology"], ["metrics"],
+                 ["trace"]):
+        args = parser.parse_args(argv)
         assert callable(args.func)
+    # The per-figure commands are campaigns now (`campaign run <name>`).
+    for gone in ("latency", "bandwidth", "overhead", "dma", "vrpc",
+                 "breakdown", "shootout"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([gone])
 
 
-def test_cli_dma_prints_curve(capsys):
-    assert main(["dma", "--sizes", "4096,65536"]) == 0
+def test_cli_chaos_needs_a_scenario(capsys):
+    assert main(["chaos"]) == 2
+    assert "campaign run lossy|chaos" in capsys.readouterr().out
+
+
+def _campaign_run(tmp_path, name, *extra):
+    """``campaign run <name>`` into a private state dir; returns the
+    artifact written to ``tmp_path/<name>.json``."""
+    out = tmp_path / f"{name}.json"
+    assert main(["campaign", "run", name, "--jobs", "1",
+                 "--state-root", str(tmp_path / "state"),
+                 "--out", str(out), *extra]) == 0
+    return json.loads(out.read_text())
+
+
+def test_cli_dma_prints_curve(tmp_path, capsys):
+    _campaign_run(tmp_path, "dma")
     out = capsys.readouterr().out
-    assert "Figure 1" in out
-    assert "99.9" in out or "100" in out
-    assert "127.99" in out or "128" in out
+    assert "host<->LANai DMA bandwidth curve" in out
+    assert "99.9073" in out          # the 4 KB transfer unit
+    assert "127.986" in out          # 64 KB, near the PCI maximum
 
 
-def test_cli_latency_runs_simulation(capsys):
-    assert main(["latency", "--sizes", "4", "--iters", "4"]) == 0
+def test_cli_latency_runs_simulation(tmp_path, capsys):
+    _campaign_run(tmp_path, "latency")
     out = capsys.readouterr().out
-    assert "9.8" in out
+    assert "9.813" in out
 
 
 def test_cli_sram_accounting(capsys):
@@ -72,16 +72,14 @@ def test_cli_sram_accounting(capsys):
     assert "TOTAL" in out
 
 
-def test_cli_overhead(capsys):
-    assert main(["overhead", "--sizes", "4,256", "--iters", "3"]) == 0
+def test_cli_overhead(tmp_path, capsys):
+    _campaign_run(tmp_path, "overhead", "--smoke")
     out = capsys.readouterr().out
-    assert "sync" in out and "async" in out
+    assert "mode=sync" in out and "mode=async" in out
 
 
 # --------------------------------------------------------- observability CLI
 def test_cli_metrics_json_is_machine_readable(capsys):
-    import json
-
     assert main(["metrics", "--json"]) == 0
     snap = json.loads(capsys.readouterr().out)
     assert any(key.startswith("link.bytes") for key in snap)
@@ -96,8 +94,6 @@ def test_cli_metrics_table(capsys):
 
 
 def test_cli_trace_writes_perfetto_and_checks_docs(tmp_path, capsys):
-    import json
-
     out_file = tmp_path / "trace.json"
     assert main(["trace", "--perfetto", str(out_file), "--check-docs"]) == 0
     out = capsys.readouterr().out
@@ -108,10 +104,15 @@ def test_cli_trace_writes_perfetto_and_checks_docs(tmp_path, capsys):
     assert document["otherData"]["dropped"] == 0
 
 
-def test_cli_breakdown_json(capsys):
-    import json
-
-    assert main(["breakdown", "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["sum_ns"] == data["total_ns"]
-    assert data["total_us"] == pytest.approx(9.8, abs=0.3)
+def test_cli_breakdown_json(tmp_path):
+    artifact = _campaign_run(tmp_path, "breakdown")
+    short = artifact["cells"][0]
+    assert short["params"] == {"size": 4}
+    assert short["gates_failed"] == []
+    stages = sum(short["metrics"][f"{key}_us"]["median"]
+                 for key in ("post", "lanai_send", "wire", "lanai_recv",
+                             "deliver"))
+    assert stages == pytest.approx(short["metrics"]["total_us"]["median"],
+                                   abs=1e-5)
+    assert short["metrics"]["total_us"]["median"] == pytest.approx(9.8,
+                                                                   abs=0.3)
