@@ -58,10 +58,10 @@ def cmd_sram(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    if args.scenario == "multi-campaign" or args.campaign:
-        return _chaos_multi(args)
     if args.scenario == "daemon-cold-crash":
         return _chaos_cold_crash(args)
+    if args.scenario == "multi-campaign" or args.campaign:
+        return _chaos_multi(args)
     print("chaos: choose --scenario daemon-cold-crash or multi-campaign "
           "(the lossy-link and error-burst sweeps are `campaign run "
           "lossy|chaos`)")
