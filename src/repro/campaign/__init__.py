@@ -1,13 +1,14 @@
 """Experiment-campaign orchestration + the machine-readable perf trajectory.
 
-``repro.campaign`` turns the repo's scattered bench scripts into
-*registered campaigns*: a declarative spec (parameter grid x seed list x
-trial function) fans out across a multiprocess pool, per-cell statistics
-(min/median/mean/95 % CI over seeds) are aggregated, and a
-schema-versioned ``BENCH_<AREA>.json`` artifact lands at the repo root.
-Runs are resumable (per-trial state files; a resumed run's artifact is
-byte-identical to an uninterrupted one) and diffable (``campaign diff``
-is the CI regression gate against the committed baselines).
+``repro.campaign`` is the repo's one measurement path: every paper
+figure, table and ablation is a *registered campaign*.  A declarative
+spec (parameter grid x seed list x trial function) fans out across a
+multiprocess pool, per-cell statistics (min/median/mean/95 % CI over
+seeds) are aggregated, and a schema-versioned ``BENCH_<AREA>.json``
+artifact lands at the repo root.  Runs are resumable (per-trial state
+files; a resumed run's artifact is byte-identical to an uninterrupted
+one) and diffable (``campaign diff`` is the exact CI gate against the
+committed baselines).
 
 CLI: ``python -m repro campaign list|run|resume|report|diff`` —
 handbook in docs/BENCHMARKS.md.

@@ -1,4 +1,4 @@
-"""The regression gate: compare two ``BENCH_<AREA>.json`` artifacts exactly.
+"""The exact gate: compare two ``BENCH_<AREA>.json`` artifacts.
 
 ``campaign diff`` compares a *candidate* artifact (a fresh run) against
 the *baseline* committed at the repo root.  Every campaign metric is

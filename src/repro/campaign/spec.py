@@ -23,8 +23,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 #: Version of the BENCH_<AREA>.json artifact layout.  Bump on any
 #: structural change and document the migration in docs/BENCHMARKS.md
-#: ("Schema versions").  2: metric metadata lost ``regression_pct`` when
-#: the diff gate became exact.
+#: ("Schema versions").
 SCHEMA_VERSION = 2
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9-]*$")

@@ -479,12 +479,11 @@ def lossy_trial(params: dict, seed: int) -> dict:
     rate, messages, size = params["rate"], params["messages"], params["size"]
     if params["mode"] == "baseline":
         point = run_baseline_point(rate, messages=messages, size=size)
+        gates = {}
     else:
         point, _ = run_reliable_point(rate, messages=messages, size=size)
-    gates = {}
-    if params["mode"] == "reliable":
-        gates["delivered"] = (point.delivered_intact == point.messages
-                              and point.send_failures == 0)
+        gates = {"delivered": (point.delivered_intact == point.messages
+                               and point.send_failures == 0)}
     return {
         "metrics": {
             "delivered_intact": point.delivered_intact,
